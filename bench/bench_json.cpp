@@ -14,15 +14,14 @@
 // core, so every number here — including the BM_BatchStep/E* and
 // BM_BatchedRollout/E* batch-first entries — measures single-thread
 // throughput. Batching wins come from amortized forward passes and update
-// cadence (docs/BATCHING.md), not from parallel hardware; the "/wN" worker
-// variants likewise record dispatch overhead, not speedup.
+// cadence (docs/BATCHING.md), not from parallel hardware; the baselines'
+// "/wN" worker variants likewise record dispatch overhead, not speedup.
 //
 // Run:  ./bench_json [--nn-out F] [--train-out F] [--min-time SECONDS]
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,7 +37,6 @@
 #include "nn/losses.h"
 #include "nn/mlp.h"
 #include "obs/phase.h"
-#include "runtime/rollout.h"
 #include "sim/batch_lane_world.h"
 #include "sim/lane_world.h"
 #include "sim/scenario.h"
@@ -201,31 +199,6 @@ std::vector<BenchResult> run_nn_cases(double min_time) {
                             [&] { agent.update(opponents, rng); }));
   }
 
-  // One RolloutRunner round: 8 episodes of raw environment stepping across
-  // per-slot LaneWorld replicas. Measures the runtime layer's dispatch +
-  // stream-split overhead; on a single-core host the multi-worker variants
-  // show scheduling cost, not speedup (docs/PARALLELISM.md).
-  for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                              std::size_t{8}}) {
-    const sim::Scenario scenario = sim::cooperative_lane_change();
-    runtime::ThreadPool pool(workers);
-    runtime::RolloutRunner runner(pool, /*root_seed=*/1);
-    std::vector<std::unique_ptr<sim::LaneWorld>> worlds;
-    for (std::size_t s = 0; s < runner.max_slots(); ++s) {
-      worlds.push_back(std::make_unique<sim::LaneWorld>(scenario.config));
-    }
-    out.push_back(time_case("BM_ParallelRollout/w" + std::to_string(workers),
-                            min_time, [&] {
-      runner.run_round(0, 8, [&](std::size_t, std::size_t slot, Rng& rng) {
-        sim::LaneWorld& w = *worlds[slot];
-        w.reset(rng);
-        const std::vector<sim::TwistCmd> cmds(
-            static_cast<std::size_t>(w.num_learners()), sim::TwistCmd{0.12, 0.0});
-        while (!w.done()) w.step(cmds, rng);
-      });
-    }));
-  }
-
   for (std::size_t batch : {std::size_t{128}, std::size_t{1024}}) {
     Rng rng(1);
     algos::SacConfig cfg;
@@ -265,11 +238,13 @@ TrainSlice time_train(const std::string& name, TrainFn&& fn) {
   return s;
 }
 
-// One pass over all five trainers at a fixed worker count. Names carry a
-// "/wN" suffix for N > 1 so the single-worker entries keep their historical
-// names (and their seed baselines). On a single-core host the multi-worker
+// One pass over the trainers at a fixed worker count. Names carry a "/wN"
+// suffix for N > 1 so the single-worker entries keep their historical names
+// (and their seed baselines). On a single-core host the multi-worker
 // numbers measure dispatch overhead, not speedup — the snapshot records what
-// the hardware actually delivered (docs/PARALLELISM.md).
+// the hardware actually delivered (docs/PARALLELISM.md). HERO runs at one
+// worker only: its stage 2 is the single-threaded batched engine, so a
+// worker count would change nothing but its stage-1 skill pool.
 void run_train_cases(int episodes, int workers, std::vector<TrainSlice>& out) {
   using namespace hero;
   const sim::Scenario scenario = sim::cooperative_lane_change();
@@ -322,18 +297,14 @@ void run_train_cases(int episodes, int workers, std::vector<TrainSlice>& out) {
     return steps;
   }));
 
-  out.push_back(time_train("hero" + suffix, [&] {
+  if (workers > 1) return;
+  out.push_back(time_train("hero", [&] {
     Rng rng(1);
     core::HeroConfig cfg;
     cfg.high.warmup_transitions = 16;
-    if (workers == 1) {
-      // The single-worker HERO slice collects through the batch-first
-      // rollout engine (docs/BATCHING.md): 16 lockstep envs share each
-      // policy/opponent forward and the gradient clock counts batch steps.
-      cfg.batch_envs = 16;
-    } else {
-      cfg.num_workers = workers;
-    }
+    // 16 lockstep envs share each policy/opponent forward and the gradient
+    // clock counts batch steps (docs/BATCHING.md).
+    cfg.batch_envs = 16;
     core::HeroTrainer t(scenario, cfg, rng);
     t.train_skills(/*episodes_per_skill=*/2, rng);
     long steps = 0;
@@ -414,7 +385,7 @@ void run_dense_cases(const std::string& scenario_path,
     out.push_back(time_train(name, [&] {
       sim::Scenario sc = sim::load_scenario(scenario_path, vehicles);
       sc.config.use_spatial_index = use_index;
-      sim::BatchLaneWorld world(sc.config, /*num_envs=*/1);
+      sim::BatchLaneWorld world(sc.config, /*envs=*/1);
       Rng rng(1);
       Rng* rng_ptr = &rng;
       world.reset_env(0, rng);

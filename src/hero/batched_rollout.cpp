@@ -11,15 +11,15 @@ BatchedRollout::BatchedRollout(const sim::Scenario& scenario,
                                const HighLevelConfig& high,
                                const TerminationConfig& term, SkillBank& skills,
                                std::vector<std::unique_ptr<HeroAgent>>& agents,
-                               int num_envs)
+                               int envs)
     : scenario_(scenario),
       high_cfg_(high),
       term_(term),
       skills_(skills),
       agents_(agents),
-      world_(scenario.config, num_envs),
-      sched_(static_cast<std::size_t>(num_envs)) {
-  E_ = num_envs;
+      world_(scenario.config, envs),
+      sched_(static_cast<std::size_t>(envs)) {
+  E_ = envs;
   n_ = world_.num_learners();
   HERO_CHECK(static_cast<int>(agents_.size()) == n_);
   const std::size_t slots = static_cast<std::size_t>(E_) * static_cast<std::size_t>(n_);
@@ -52,9 +52,9 @@ void BatchedRollout::begin_lane(std::size_t lane) {
     la.exec = OptionExecution{};
     la.has_pending = false;
     la.opp_cache.clear();
-    // Every lane explores from the learner's current ε-schedule position —
-    // the same round-start convention as the multi-worker runtime, so the
-    // trajectory of episode e cannot depend on batch width bookkeeping.
+    // Every lane explores from the learner's round-start ε-schedule
+    // position, so the trajectory of episode e cannot depend on which lanes
+    // finish first.
     la.selections = agents_[static_cast<std::size_t>(k)]->high_level().selections();
     ep.selections[static_cast<std::size_t>(k)] = la.selections;
     options_[la_index(lane, k)] = static_cast<int>(Option::kKeepLane);
@@ -106,7 +106,7 @@ void BatchedRollout::finish_lane(std::size_t lane, bool observing) {
   const int e = static_cast<int>(lane);
 
   // Terminal observation per agent: feeds the episode's last opponent labels
-  // (the serial loop observes after every step, including the last) and the
+  // (labels are observed after every step, including the last) and the
   // done = true semi-MDP store of HeroAgent::finalize_episode.
   for (int k = 0; k < n_; ++k) {
     const int vi = world_.learners()[static_cast<std::size_t>(k)];
@@ -208,8 +208,8 @@ void BatchedRollout::step_once(bool observing) {
   // selection share one opponent-model forward and one actor forward; the
   // ε/categorical draws then come lane-ascending from each lane's own
   // stream. Processing k ascending keeps the one-hot opponent blocks on the
-  // serial convention (agents < k already updated this step, agents > k
-  // still on their previous option).
+  // scalar act() convention (agents < k already updated this step, agents
+  // > k still on their previous option).
   {
   OBS_PHASE("select");
   for (int k = 0; k < n_; ++k) {

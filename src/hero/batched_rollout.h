@@ -4,8 +4,8 @@
 // single batch=E forward instead of E single-row dispatches
 // (docs/BATCHING.md).
 //
-// Each lane (environment slot) replays the serial episode logic exactly:
-// the same β_o termination tests, the same semi-MDP accumulation, the same
+// Each lane (environment slot) runs the scalar HeroAgent episode logic: the
+// same β_o termination tests, the same semi-MDP accumulation, the same
 // per-stream RNG draw sets. Draws come from the counter-based episode
 // stream stream_rng(root, episode), so a run is bitwise reproducible for a
 // fixed (seed, batch_envs) pair. Collected experience is staged per lane
@@ -14,8 +14,8 @@
 //
 // The rollout only *reads* the learner's networks (actor, opponent
 // predictors, frozen skills); all replay buffers are filled at merge time
-// by HeroTrainer::train_batched. Single-threaded by design: batching, not
-// threading, is the throughput lever here (docs/PARALLELISM.md compares).
+// by HeroTrainer::train. Single-threaded by design: batching, not
+// threading, is the throughput lever here.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +31,7 @@
 namespace hero::core {
 
 // One finished episode's staged experience, in the exact shapes the
-// trainer's merge consumes (mirrors HeroTrainer::CollectedEpisode, but the
-// transitions ride along instead of living in a shard).
+// trainer's merge consumes.
 struct BatchedEpisode {
   rl::EpisodeStats stats;
   long switches = 0;
@@ -52,11 +51,11 @@ class BatchedRollout {
   // outlive the rollout (HeroTrainer owns all three).
   BatchedRollout(const sim::Scenario& scenario, const HighLevelConfig& high,
                  const TerminationConfig& term, SkillBank& skills,
-                 std::vector<std::unique_ptr<HeroAgent>>& agents, int num_envs);
+                 std::vector<std::unique_ptr<HeroAgent>>& agents, int envs);
 
-  int num_envs() const { return E_; }
+  int envs() const { return E_; }
 
-  // Runs episodes [first, first + count) to completion (count ≤ num_envs).
+  // Runs episodes [first, first + count) to completion (count ≤ envs()).
   // `observing` enables the opponent-prediction scoreboard (metrics or
   // telemetry on). Results are readable via episode(i) until the next round.
   void run_round(std::uint64_t root, std::size_t first, std::size_t count,
@@ -67,10 +66,10 @@ class BatchedRollout {
   BatchedEpisode& episode(std::size_t i) { return episodes_[i]; }
 
   // Synchronized batch steps executed by the last round — the trainer's
-  // gradient-update clock: one batch step advances every live lane, so the
-  // serial cadence of one update round per `update_every` *steps* becomes
-  // one per `update_every` *batch steps* (standard vectorized-RL semantics;
-  // at E lanes that is ~E× fewer gradient rounds per environment step).
+  // gradient-update clock: one update round per `update_every` *batch
+  // steps*, and one batch step advances every live lane (standard
+  // vectorized-RL semantics; at E lanes that is ~E× fewer gradient rounds
+  // per environment step than at E = 1).
   long round_batch_steps() const { return round_batch_steps_; }
 
   sim::BatchLaneWorld& world() { return world_; }

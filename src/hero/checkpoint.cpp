@@ -78,6 +78,32 @@ std::string parse_string_field(const std::string& text, const std::string& key,
   return out;
 }
 
+// Reads an optional `"key": [0, 1, ...]` array of non-negative integers; an
+// absent key yields an empty vector.
+std::vector<int> parse_int_list_field(const std::string& text, const std::string& key,
+                                      const std::string& dir) {
+  std::vector<int> out;
+  const std::size_t pos = value_offset(text, key);
+  if (pos == std::string::npos) return out;
+  const auto malformed = [&] {
+    return std::runtime_error("checkpoint manifest " + dir +
+                              "/checkpoint.json: field \"" + key +
+                              "\" is not an integer array");
+  };
+  const std::size_t close = text.find(']', pos);
+  if (pos >= text.size() || text[pos] != '[' || close == std::string::npos) {
+    throw malformed();
+  }
+  std::istringstream items(text.substr(pos + 1, close - pos - 1));
+  for (std::string item; std::getline(items, item, ',');) {
+    std::istringstream in(item);
+    int v = 0;
+    if (!(in >> v) || v < 0) throw malformed();
+    out.push_back(v);
+  }
+  return out;
+}
+
 }  // namespace
 
 CheckpointManifest manifest_of(HeroTrainer& trainer) {
@@ -110,6 +136,7 @@ CheckpointManifest manifest_of(HeroTrainer& trainer) {
       m.shapes[base + "_opp" + std::to_string(j)] =
           dims_string(agent.opponents().net(j).layer_dims());
     }
+    m.opponents_trusted.push_back(agent.opponents().prediction_ready() ? 1 : 0);
   }
 
   // Digest over the architecture only (not the build fields): two builds of
@@ -138,6 +165,14 @@ std::string manifest_to_json(const CheckpointManifest& m) {
   out += "  \"num_lanes\": " + std::to_string(m.num_lanes) + ",\n";
   out += "  \"hl_obs_dim\": " + std::to_string(m.hl_obs_dim) + ",\n";
   out += "  \"ll_obs_dim\": " + std::to_string(m.ll_obs_dim) + ",\n";
+  if (!m.opponents_trusted.empty()) {
+    out += "  \"opponents_trusted\": [";
+    for (std::size_t k = 0; k < m.opponents_trusted.size(); ++k) {
+      if (k > 0) out += ", ";
+      out += std::to_string(m.opponents_trusted[k]);
+    }
+    out += "],\n";
+  }
   out += "  \"shapes\": {";
   bool first = true;
   for (const auto& [name, shape] : m.shapes) {
@@ -171,6 +206,7 @@ bool read_manifest(const std::string& dir, CheckpointManifest* out) {
   m.num_lanes = static_cast<int>(parse_int_field(text, "num_lanes", dir));
   m.hl_obs_dim = parse_int_field(text, "hl_obs_dim", dir);
   m.ll_obs_dim = parse_int_field(text, "ll_obs_dim", dir);
+  m.opponents_trusted = parse_int_list_field(text, "opponents_trusted", dir);
 
   std::size_t pos = value_offset(text, "shapes");
   if (pos == std::string::npos || text[pos] != '{') {
@@ -246,6 +282,12 @@ void validate_manifest(const CheckpointManifest& on_disk,
   if (on_disk.ll_obs_dim != expected.ll_obs_dim) {
     mismatch("ll_obs_dim", std::to_string(on_disk.ll_obs_dim),
              std::to_string(expected.ll_obs_dim));
+  }
+  if (!on_disk.opponents_trusted.empty() &&
+      on_disk.opponents_trusted.size() != static_cast<std::size_t>(on_disk.learners)) {
+    mismatch("opponents_trusted entries",
+             std::to_string(on_disk.opponents_trusted.size()),
+             std::to_string(on_disk.learners) + " (one per learner)");
   }
   // Shapes: every component this build will load must exist on disk with the
   // same architecture. Extra on-disk components (e.g. a bigger run's agents)

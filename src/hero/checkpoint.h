@@ -20,6 +20,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 namespace hero::core {
 
@@ -43,6 +44,11 @@ struct CheckpointManifest {
   // "slow_down_actor" → "8:32:32:4". Covers every tensor file the trainer
   // writes (skills, high-level actors/critics, opponent predictors).
   std::map<std::string, std::string> shapes;
+  // Per agent: 1 when its opponent predictors were trusted at save time
+  // (OpponentModel::prediction_ready()), else 0. Not part of the digest —
+  // it is training state, not architecture. Empty when the manifest
+  // predates the field; load() then trusts every predictor.
+  std::vector<int> opponents_trusted;
 };
 
 // The manifest describing `trainer`'s in-memory architecture.

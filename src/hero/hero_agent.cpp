@@ -116,19 +116,6 @@ void HeroAgent::observe_opponents(const std::vector<double>& own_obs,
   }
 }
 
-void HeroAgent::sync_policy_from(HeroAgent& src) {
-  high_->actor().net().copy_params_from(src.high_->actor().net());
-  high_->set_selections(src.high_->selections());
-  HERO_CHECK(opponents_->num_opponents() == src.opponents_->num_opponents());
-  for (int j = 0; j < opponents_->num_opponents(); ++j) {
-    opponents_->net(j).copy_params_from(src.opponents_->net(j));
-  }
-  // Readiness is monotone: once the learner's predictors are live, replicas
-  // must stop answering with the uniform prior (their own buffers reset
-  // every episode, so buffer occupancy cannot carry the signal).
-  if (src.opponents_->prediction_ready()) opponents_->mark_trained();
-}
-
 AgentUpdateStats HeroAgent::update(Rng& rng) {
   OBS_SPAN("stage2/update");
   OBS_PHASE("update");

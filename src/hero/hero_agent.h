@@ -62,12 +62,6 @@ class HeroAgent {
   // first selection). Cached across the option hold — see observe_opponents.
   const std::vector<double>& opp_block_cache() const { return opp_cache_; }
 
-  // Copies everything a rollout replica needs to act like `src` — high-level
-  // actor parameters, the ε-schedule position, opponent predictor parameters
-  // and their readiness. Critics and optimizer state stay behind: replicas
-  // only act, the learner updates (docs/PARALLELISM.md §sync).
-  void sync_policy_from(HeroAgent& src);
-
   // Opponent-prediction scoreboard since the last reset_opp_score().
   long opp_predictions() const { return opp_total_; }
   long opp_correct() const { return opp_correct_; }

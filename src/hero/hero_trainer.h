@@ -18,7 +18,6 @@
 #include "hero/act_engine.h"
 #include "hero/batched_rollout.h"
 #include "hero/hero_agent.h"
-#include "runtime/sharded_replay.h"
 #include "runtime/thread_pool.h"
 
 namespace hero::core {
@@ -27,29 +26,19 @@ struct HeroConfig {
   SkillConfig skill;
   HighLevelConfig high;
   OpponentModelConfig opponent;
-  int update_every = 2;        // world steps between gradient updates
+  int update_every = 2;        // batch steps between gradient-update rounds
   int skill_episodes = 1200;   // default stage-1 budget per skill
-  // Train the skills in parallel environments (paper Sec. V-C), one pool
-  // task per skill. Off by default so single-seed runs stay bit-reproducible
-  // with historical results; the parallel path is deterministic per skill.
-  bool parallel_skills = false;
-  // Stage-2 rollout workers. 1 (default) keeps the exact historical serial
-  // code path — bitwise identical to pre-runtime builds. >1 collects
-  // episodes on a thread pool with counter-based per-episode RNG streams:
-  // deterministic for a fixed (seed, num_envs) pair, invariant to scheduling
-  // and to num_workers itself (docs/PARALLELISM.md).
+  // Size of the stage-1 skill thread pool: > 1 trains the learned skills as
+  // one pool task each (paper Sec. V-C). Deterministic per skill, but the
+  // skills differ from the sequential (1) path's — stage-1 results change
+  // with this knob (docs/PARALLELISM.md). Stage 2 never reads it.
   int num_workers = 1;
-  // Episodes in flight per rollout round; 0 → num_workers. The determinism
-  // contract is keyed on this value (it fixes the episode→stream map and the
-  // merge cadence).
-  int num_envs = 0;
-  // Batch-first stage-2 rollouts (docs/BATCHING.md): > 0 steps that many
-  // episodes in lockstep through one vectorized BatchLaneWorld on a single
-  // thread, with every per-step network evaluation batched across lanes and
-  // gradient updates clocked per *batch* step. Takes precedence over
-  // num_workers. Deterministic for a fixed (seed, batch_envs) pair via the
-  // same per-episode RNG streams as the worker runtime.
-  int batch_envs = 0;
+  // Stage-2 episodes stepped in lockstep through one vectorized
+  // BatchLaneWorld on a single thread, with every per-step network
+  // evaluation batched across lanes and gradient updates clocked per
+  // *batch* step (docs/BATCHING.md). Must be >= 1. Stage 2 is a pure
+  // function of (seed, batch_envs).
+  int batch_envs = 1;
 };
 
 class HeroTrainer : public rl::Controller {
@@ -65,6 +54,10 @@ class HeroTrainer : public rl::Controller {
                                                      const SkillHook& hook = {});
 
   // --- stage 2 ---
+  // Runs `episodes` episodes in rounds of batch_envs lockstep episodes
+  // through BatchedRollout, merges each round's experience in episode order,
+  // then takes the round's gradient-update rounds. `hook` fires once per
+  // episode in episode order, after the round's updates.
   void train(int episodes, Rng& rng, const algos::EpisodeHook& hook = {});
 
   // --- rl::Controller (deployment / evaluation) ---
@@ -88,9 +81,12 @@ class HeroTrainer : public rl::Controller {
   // manifest (hero/checkpoint.h); load() restores into an identically
   // configured trainer and throws std::runtime_error when the manifest
   // declares an incompatible format or architecture (manifest-less legacy
-  // directories still load). Note: opponent predictors below their
-  // min-samples threshold still report the uniform prior after load (by
-  // design — the threshold guards deployment on untrained predictors).
+  // directories still load). The manifest also records whether each
+  // agent's opponent predictors were trusted at save time (past their
+  // min-samples threshold, or trained); load() restores exactly that, so a
+  // checkpoint saved before the predictors warmed up keeps answering with
+  // the uniform prior. Manifests without the record load every predictor as
+  // trusted.
   void save(const std::string& dir);
   void load(const std::string& dir);
 
@@ -116,47 +112,8 @@ class HeroTrainer : public rl::Controller {
   void batched_act(const rl::ObsBatch& batch, Rng* const* rngs, bool explore,
                    sim::TwistCmd* cmds_out);
 
-  // --- parallel stage 2 (cfg_.num_workers > 1; docs/PARALLELISM.md) ---
-  // A transition collected by a worker replica, staged for the learner.
-  struct StagedHigh {
-    int agent;
-    OptionTransition t;
-  };
-  struct StagedOpp {
-    int agent;
-    int opponent;
-    OpponentModel::Sample s;
-  };
-  // Per-episode collection record, filled by the worker, consumed by the
-  // learner's merge in canonical episode order.
-  struct CollectedEpisode {
-    rl::EpisodeStats stats;
-    long switches = 0;
-    long opp_total = 0;
-    long opp_correct = 0;
-    std::vector<long> selections;          // per agent: Δ ε-schedule position
-    std::vector<std::size_t> high_counts;  // per agent: staged transitions
-    std::vector<std::size_t> opp_counts;   // per agent: staged labels
-  };
-
-  void train_serial(int episodes, Rng& rng, const algos::EpisodeHook& hook);
-  void train_parallel(int episodes, Rng& rng, const algos::EpisodeHook& hook);
-  // Batch-first rollout path (cfg_.batch_envs > 0; docs/BATCHING.md).
-  void train_batched(int episodes, Rng& rng, const algos::EpisodeHook& hook);
-  // Runs one episode on a worker replica and stages its transitions into
-  // shard `slot`.
-  void collect_episode(Rng& rng, std::size_t slot,
-                       runtime::ShardedReplay<StagedHigh>& high_staging,
-                       runtime::ShardedReplay<StagedOpp>& opp_staging,
-                       CollectedEpisode& out);
-  // Pushes learner policy/opponent parameters to every replica.
-  void sync_replicas(std::size_t slots);
-  // One update round: every agent steps in parallel, stats merged in agent
-  // order.
-  void parallel_update(Rng& rng, std::vector<AgentUpdateStats>& out);
-  // Lazily builds the worker pool (>= threads) and the replica trainers.
+  // Lazily builds the stage-1 skill pool (>= threads).
   runtime::ThreadPool& ensure_pool(std::size_t threads);
-  void ensure_replicas(std::size_t slots, std::uint64_t root_seed);
   // Shared telemetry/metrics emission for one finished episode.
   void emit_episode_obs(int episode, const rl::EpisodeStats& stats, long switches,
                         long opp_preds, long opp_hits, double steps_per_sec,
@@ -173,16 +130,12 @@ class HeroTrainer : public rl::Controller {
   std::vector<int> current_options_;
   mutable std::vector<int> others_scratch_;
   bool episode_started_ = false;
-  bool learning_ = false;
   long total_steps_ = 0;
-  long option_switches_ = 0;  // β_o firings across all agents (telemetry)
 
-  // Parallel-runtime state (unused while num_workers == 1).
-  std::unique_ptr<runtime::ThreadPool> pool_;
-  std::vector<std::unique_ptr<HeroTrainer>> replicas_;  // one per worker slot
-  long pending_update_steps_ = 0;  // carries the steps/update_every remainder
+  std::unique_ptr<runtime::ThreadPool> pool_;  // stage-1 skills (num_workers > 1)
+  long pending_update_steps_ = 0;  // carries the batch-steps/update_every remainder
 
-  // Batch-first rollout engine (unused while batch_envs == 0).
+  // The stage-2 rollout engine (built on the first train() call).
   std::unique_ptr<BatchedRollout> batched_;
 
   // Batch-first deployment engine + per-slot sessions (lazy; see

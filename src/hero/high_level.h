@@ -98,9 +98,6 @@ class HighLevelAgent {
   void store(OptionTransition t) { buffer_.add(std::move(t)); }
   std::size_t buffered() const { return buffer_.size(); }
   const rl::ReplayBuffer<OptionTransition>& buffer() const { return buffer_; }
-  // Drops buffered transitions (worker replicas stage their collected
-  // transitions to the learner after every episode, then reset).
-  void clear_buffer() { buffer_.clear(); }
 
   // One actor+critic gradient step; TD-targets query `opponents` on the
   // stored next observations (always the latest model, per the paper).
@@ -109,8 +106,8 @@ class HighLevelAgent {
   nn::Mlp& critic() { return critic_; }
   nn::CategoricalPolicy& actor() { return actor_; }
   long selections() const { return selections_; }
-  // Overwrites the ε-schedule position — the parallel runtime keeps worker
-  // replicas on the learner's schedule (docs/PARALLELISM.md §sync).
+  // Overwrites the ε-schedule position — the trainer's merge advances it by
+  // each batched episode's selections (hero/batched_rollout.h).
   void set_selections(long n) { selections_ = n; }
 
  private:

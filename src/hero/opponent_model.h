@@ -61,8 +61,8 @@ class OpponentModel {
   }
 
   // One observed (own obs, opponent j's current option) pair. Public so the
-  // parallel runtime can stage copies of a worker replica's collected
-  // samples back to the learner (hero_trainer.cpp merge phase).
+  // batched rollout can stage a lane's labels for the trainer's merge
+  // (hero/batched_rollout.h).
   struct Sample {
     std::vector<double> obs;
     int option;
@@ -70,17 +70,6 @@ class OpponentModel {
 
   // Records one observed (own obs, opponent j's current option) pair.
   void observe(int j, std::vector<double> obs, Option option);
-
-  // FIFO access to opponent j's collected samples (index order == insertion
-  // order while the buffer has not wrapped — worker replicas clear per
-  // episode, far below capacity). Used by the merge phase.
-  const Sample& sample_at(int j, std::size_t i) const {
-    return buffers_[static_cast<std::size_t>(j)].at(i);
-  }
-  // Drops all collected samples (worker replicas, after staging a round).
-  void clear_buffers() {
-    for (auto& b : buffers_) b.clear();
-  }
 
   // One gradient step on opponent j's predictor; returns the loss (NaN-free;
   // 0 when below min_samples). update_all() steps every predictor and
@@ -93,12 +82,10 @@ class OpponentModel {
   // Direct access to predictor j's network (checkpointing).
   nn::Mlp& net(int j) { return nets_[static_cast<std::size_t>(j)]; }
 
-  // Marks the predictors as trained so predict() trusts the networks even
-  // with an empty sample buffer (used after loading a checkpoint, and by
-  // worker replicas syncing from a learner whose predictors are live —
-  // replicas clear their buffers every episode, so the learner's readiness
-  // has to be carried over explicitly).
-  void mark_trained() { trained_ = true; }
+  // Sets whether predict() trusts the networks even with an empty sample
+  // buffer — how HeroTrainer::load restores the readiness a checkpoint was
+  // saved with.
+  void set_trained(bool trained) { trained_ = trained; }
   bool trained() const { return trained_; }
 
   // True once predict() consults the networks rather than the uniform

@@ -110,7 +110,6 @@ void set_run_manifest(const RunManifest& m) {
                                    .field("config_digest", m.config_digest)
                                    .field("seed", m.seed)
                                    .field("num_workers", m.num_workers)
-                                   .field("num_envs", m.num_envs)
                                    .field("batch_envs", m.batch_envs));
   }
 }
@@ -137,8 +136,6 @@ std::string manifest_json() {
   out += std::to_string(g_manifest.seed);
   out += ", \"num_workers\": ";
   out += std::to_string(g_manifest.num_workers);
-  out += ", \"num_envs\": ";
-  out += std::to_string(g_manifest.num_envs);
   out += ", \"batch_envs\": ";
   out += std::to_string(g_manifest.batch_envs);
   out += '}';

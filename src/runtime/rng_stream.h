@@ -1,7 +1,8 @@
-// Counter-based RNG stream splitting for the parallel runtime.
+// Counter-based RNG stream splitting: per-episode (batched rollout,
+// evaluation) and per-task (stage-1 skills, baseline updates) streams.
 //
-// Worker streams must be reproducible for a fixed (seed, num_workers) pair
-// and statistically independent of each other. Deriving child seeds by
+// Streams must be reproducible for a fixed root seed and statistically
+// independent of each other. Deriving child seeds by
 // jumping a shared engine would serialize stream creation and couple a
 // stream's identity to creation order; instead each stream is addressed by a
 // counter: stream k of root seed s is seeded with a splitmix64-style hash of

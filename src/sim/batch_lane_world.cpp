@@ -8,12 +8,12 @@
 
 namespace hero::sim {
 
-BatchLaneWorld::BatchLaneWorld(const LaneWorldConfig& cfg, int num_envs)
+BatchLaneWorld::BatchLaneWorld(const LaneWorldConfig& cfg, int envs)
     : cfg_(cfg),
       track_(cfg.track),
       lidar_(cfg.lidar),
       camera_(cfg.camera),
-      E_(num_envs),
+      E_(envs),
       V_(static_cast<int>(cfg.specs.size())) {
   HERO_CHECK_MSG(!cfg_.specs.empty(), "BatchLaneWorld needs at least one vehicle spec");
   HERO_CHECK(cfg_.dt > 0.0 && cfg_.max_steps > 0);

@@ -52,9 +52,9 @@ struct BatchStepResult {
 
 class BatchLaneWorld {
  public:
-  BatchLaneWorld(const LaneWorldConfig& cfg, int num_envs);
+  BatchLaneWorld(const LaneWorldConfig& cfg, int envs);
 
-  int num_envs() const { return E_; }
+  int envs() const { return E_; }
   int num_vehicles() const { return V_; }
   const std::vector<int>& learners() const { return learners_; }
   int num_learners() const { return static_cast<int>(learners_.size()); }

@@ -8,6 +8,8 @@
 #include "algos/dqn.h"
 #include "hero/hero_trainer.h"
 #include "nn/serialize.h"
+#include "obs/alerts.h"
+#include "obs/metrics.h"
 #include "rl/evaluation.h"
 #include "sim/scenario.h"
 
@@ -173,12 +175,16 @@ std::string learner_params(core::HeroTrainer& t) {
 }
 
 TEST(HeroParallel, SameSeedRunsAreBitwiseIdentical) {
+  // A 2-worker pool trains the stage-1 skills (one task per skill on its
+  // own RNG stream); the whole pipeline must still be a pure function of
+  // the seed.
   auto run = [](std::string* params) {
     Rng rng(17);
     auto sc = sim::cooperative_lane_change();
     auto cfg = fast_hero();
     cfg.num_workers = 2;
     core::HeroTrainer trainer(sc, cfg, rng);
+    trainer.train_skills(3, rng);
     std::vector<double> rewards;
     trainer.train(6, rng, [&](int, const rl::EpisodeStats& s) {
       rewards.push_back(s.team_reward);
@@ -194,16 +200,14 @@ TEST(HeroParallel, SameSeedRunsAreBitwiseIdentical) {
 }
 
 TEST(HeroParallel, ResultsInvariantToWorkerCount) {
-  // The determinism contract keys parallel results to (seed, num_envs) only:
-  // episode e always draws RNG stream e and explores from the learner's
-  // round-start ε position, so the worker count changes wall-clock, never
-  // trajectories (docs/PARALLELISM.md).
+  // Stage 2 is keyed to (seed, batch_envs) only: num_workers sizes the
+  // stage-1 skill pool and never reaches the batched engine.
   auto run = [](int workers, std::string* params) {
     Rng rng(23);
     auto sc = sim::cooperative_lane_change();
     auto cfg = fast_hero();
     cfg.num_workers = workers;
-    cfg.num_envs = 4;
+    cfg.batch_envs = 4;
     core::HeroTrainer trainer(sc, cfg, rng);
     std::vector<double> rewards;
     trainer.train(6, rng, [&](int, const rl::EpisodeStats& s) {
@@ -212,31 +216,36 @@ TEST(HeroParallel, ResultsInvariantToWorkerCount) {
     *params = learner_params(trainer);
     return rewards;
   };
-  std::string p2, p4;
-  const auto r2 = run(2, &p2);
+  std::string p1, p4;
+  const auto r1 = run(1, &p1);
   const auto r4 = run(4, &p4);
-  EXPECT_EQ(r2, r4);
-  EXPECT_EQ(p2, p4);
+  EXPECT_EQ(r1, r4);
+  EXPECT_EQ(p1, p4);
 }
 
-TEST(HeroParallel, HooksFireInCanonicalEpisodeOrder) {
-  Rng rng(29);
-  auto sc = sim::cooperative_lane_change();
+TEST(HeroBatched, RejectsWidthBelowOne) {
+  Rng rng(3);
   auto cfg = fast_hero();
-  cfg.num_workers = 3;
-  core::HeroTrainer trainer(sc, cfg, rng);
-  std::vector<int> episodes;
-  trainer.train(7, rng, [&](int ep, const rl::EpisodeStats& s) {
-    episodes.push_back(ep);
-    EXPECT_GT(s.steps, 0);
-  });
-  std::vector<int> want(7);
-  for (int i = 0; i < 7; ++i) want[static_cast<std::size_t>(i)] = i;
-  EXPECT_EQ(episodes, want);
-  // The merged experience lands in the learner's buffers, not the replicas'.
-  for (int k = 0; k < trainer.num_agents(); ++k) {
-    EXPECT_GT(trainer.agent(k).high_level().buffered(), 0u);
-  }
+  cfg.batch_envs = 0;
+  EXPECT_THROW(core::HeroTrainer(sim::cooperative_lane_change(), cfg, rng),
+               std::logic_error);
+}
+
+TEST(HeroBatched, InstrumentedRunReportsThroughput) {
+  // Each round's env steps over its wall-clock feed the steps_per_sec
+  // histogram (and the throughput_collapse rule) once per episode.
+  obs::Registry::instance().reset_values();
+  obs::set_metrics_enabled(true);
+  Rng rng(43);
+  auto sc = sim::cooperative_lane_change();
+  core::HeroTrainer trainer(sc, fast_hero(), rng);
+  trainer.train(2, rng);
+  obs::set_metrics_enabled(false);
+  const auto& h = obs::Registry::instance().histogram("hero.stage2.steps_per_sec");
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_GT(h.min(), 0.0);
+  obs::Registry::instance().reset_values();
+  obs::AlertEngine::instance().reset();
 }
 
 TEST(HeroBatched, SameSeedRunsAreBitwiseIdentical) {
@@ -306,22 +315,11 @@ TEST(HeroBatched, HooksFireInCanonicalEpisodeOrder) {
   }
 }
 
-TEST(HeroPipeline, CheckpointRoundTripReproducesBehaviour) {
-  Rng rng(9);
-  auto sc = sim::cooperative_lane_change();
-  core::HeroTrainer trainer(sc, fast_hero(), rng);
-  trainer.train_skills(15, rng);
-  trainer.train(10, rng);
-
-  const auto dir = std::filesystem::temp_directory_path() / "hero_ckpt_test";
-  std::filesystem::create_directories(dir);
-  trainer.save(dir.string());
-
-  Rng rng2(99);
-  core::HeroTrainer restored(sc, fast_hero(), rng2);
-  restored.load(dir.string());
-
-  // Identical greedy behaviour on an identical episode.
+// Steps `trainer` and `restored` greedily through one identical episode and
+// expects identical commands.
+void expect_same_greedy_episode(core::HeroTrainer& trainer,
+                                core::HeroTrainer& restored,
+                                const sim::Scenario& sc) {
   sim::LaneWorld w1(sc.config), w2(sc.config);
   Rng e1(7), e2(7);
   w1.reset(e1);
@@ -339,9 +337,60 @@ TEST(HeroPipeline, CheckpointRoundTripReproducesBehaviour) {
     (void)w1.step(c1, e1);
     (void)w2.step(c2, e2);
   }
+}
+
+TEST(HeroPipeline, CheckpointRoundTripReproducesBehaviour) {
+  Rng rng(9);
+  auto sc = sim::cooperative_lane_change();
+  core::HeroTrainer trainer(sc, fast_hero(), rng);
+  trainer.train_skills(15, rng);
+  trainer.train(10, rng);
+
+  const auto dir = std::filesystem::temp_directory_path() / "hero_ckpt_test";
+  std::filesystem::create_directories(dir);
+  trainer.save(dir.string());
+
+  Rng rng2(99);
+  core::HeroTrainer restored(sc, fast_hero(), rng2);
+  restored.load(dir.string());
+
+  expect_same_greedy_episode(trainer, restored, sc);
   // Loaded opponent models must be trusted (not the uniform prior).
   EXPECT_TRUE(restored.agent(0).opponents().trained());
   std::filesystem::remove_all(dir);
+}
+
+TEST(HeroPipeline, CheckpointBelowMinSamplesReloadsUntrusted) {
+  // Saved before the opponent predictors reach min_samples: the original
+  // answers with the uniform prior, so the reloaded copy must too.
+  Rng rng(10);
+  auto sc = sim::cooperative_lane_change();
+  auto cfg = fast_hero();
+  cfg.opponent.min_samples = 1u << 20;
+  core::HeroTrainer trainer(sc, cfg, rng);
+  trainer.train_skills(5, rng);
+  trainer.train(3, rng);
+  ASSERT_FALSE(trainer.agent(0).opponents().prediction_ready());
+
+  const auto dir = std::filesystem::temp_directory_path() / "hero_ckpt_untrusted";
+  std::filesystem::create_directories(dir);
+  trainer.save(dir.string());
+  Rng rng2(98);
+  core::HeroTrainer restored(sc, cfg, rng2);
+  restored.load(dir.string());
+  std::filesystem::remove_all(dir);
+
+  sim::LaneWorld world(sc.config);
+  Rng reset_rng(5);
+  world.reset(reset_rng);
+  for (int k = 0; k < trainer.num_agents(); ++k) {
+    EXPECT_FALSE(restored.agent(k).opponents().prediction_ready()) << "agent " << k;
+    const auto obs = world.high_level_obs(world.learners()[static_cast<std::size_t>(k)]);
+    EXPECT_EQ(restored.agent(k).opponents().predict_all(obs),
+              trainer.agent(k).opponents().predict_all(obs))
+        << "agent " << k;
+  }
+  expect_same_greedy_episode(trainer, restored, sc);
 }
 
 TEST(CrossMethod, SharedHarnessScoresHeroAndDqnIdentically) {

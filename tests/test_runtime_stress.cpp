@@ -5,86 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "runtime/rng_stream.h"
-#include "runtime/sharded_replay.h"
 #include "runtime/thread_pool.h"
 
 namespace {
 
-using hero::Rng;
-using hero::runtime::ShardedReplay;
 using hero::runtime::ThreadPool;
-
-TEST(RuntimeStress, ShardedReplayConcurrentPushAndSample) {
-  // One producer per shard (the rollout contract) pushing while a consumer
-  // thread samples concurrently — the mixed-phase pattern TSan needs to see
-  // to prove push/sample never race on shard internals.
-  constexpr std::size_t kShards = 4;
-  constexpr int kPerProducer = 5000;
-  ShardedReplay<long> rb(/*total_capacity=*/kShards * 512, kShards);
-  for (std::size_t s = 0; s < kShards; ++s) rb.push(s, -1);  // never empty
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> producers;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    producers.emplace_back([&rb, s] {
-      for (long i = 0; i < kPerProducer; ++i) {
-        rb.push(s, static_cast<long>(s) * kPerProducer + i);
-      }
-    });
-  }
-  std::thread consumer([&rb, &stop] {
-    Rng rng(3);
-    std::vector<long> out;
-    long draws = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      rb.sample(64, rng, out);
-      draws += static_cast<long>(out.size());
-    }
-    EXPECT_GT(draws, 0);
-  });
-  for (auto& p : producers) p.join();
-  stop.store(true, std::memory_order_release);
-  consumer.join();
-
-  // Producers wrote kPerProducer each into 512-slot rings: every shard must
-  // sit exactly at capacity afterwards.
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(rb.shard_size(s), rb.shard_capacity());
-  }
-}
-
-TEST(RuntimeStress, ShardedReplayConcurrentDrainAndPush) {
-  // Staging-mode pattern: producers fill their own shards while the learner
-  // periodically drains a *different* shard set it knows to be quiescent —
-  // here modeled by draining each shard only after its producer finished.
-  constexpr std::size_t kShards = 8;
-  ShardedReplay<int> rb(/*total_capacity=*/kShards * 1024, kShards);
-  std::vector<std::thread> producers;
-  std::vector<std::atomic<bool>> done(kShards);
-  for (auto& d : done) d.store(false);
-  for (std::size_t s = 0; s < kShards; ++s) {
-    producers.emplace_back([&, s] {
-      for (int i = 0; i < 800; ++i) rb.push(s, i);
-      done[s].store(true, std::memory_order_release);
-    });
-  }
-  long drained = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    while (!done[s].load(std::memory_order_acquire)) std::this_thread::yield();
-    int expect = 0;
-    rb.drain_front(s, rb.shard_size(s), [&](int&& v) {
-      EXPECT_EQ(v, expect++);
-      ++drained;
-    });
-  }
-  for (auto& p : producers) p.join();
-  EXPECT_EQ(drained, static_cast<long>(kShards) * 800);
-}
 
 TEST(RuntimeStress, ThreadPoolParallelForHammer) {
   // Many short rounds back-to-back: exercises the latch handoff between the

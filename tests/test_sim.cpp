@@ -9,6 +9,7 @@
 #include "sim/batch_lane_world.h"
 #include "sim/features.h"
 #include "sim/lidar.h"
+#include "sim/scenario.h"
 #include "sim/track.h"
 #include "sim/vehicle.h"
 
@@ -391,9 +392,9 @@ void run_lockstep_compare(const LaneWorldConfig& cfg, BatchLaneWorld& bw, int e,
 
   const int n = sw.num_learners();
   std::vector<TwistCmd> cmds(static_cast<std::size_t>(n));
-  std::vector<TwistCmd> bcmds(static_cast<std::size_t>(bw.num_envs()) *
+  std::vector<TwistCmd> bcmds(static_cast<std::size_t>(bw.envs()) *
                               static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> active(static_cast<std::size_t>(bw.num_envs()), 0);
+  std::vector<std::uint8_t> active(static_cast<std::size_t>(bw.envs()), 0);
   active[static_cast<std::size_t>(e)] = 1;
   BatchStepResult bout;
   std::vector<double> bobs(bw.high_level_obs_dim());
@@ -451,20 +452,27 @@ void run_lockstep_compare(const LaneWorldConfig& cfg, BatchLaneWorld& bw, int e,
 }
 
 TEST(BatchLaneWorld, SingleEnvMatchesSerialBitwise) {
-  const auto cfg = batch_test_config(3, true);
-  BatchLaneWorld bw(cfg, 1);
-  for (unsigned seed = 0; seed < 8; ++seed) {
-    run_lockstep_compare(cfg, bw, 0, 100 + seed, 900 + seed);
+  // The small test world and the paper's cooperative lane change: a seeded
+  // episode is a pure function of its two RNG streams in both simulators.
+  for (const auto& cfg :
+       {batch_test_config(3, true), cooperative_lane_change().config}) {
+    BatchLaneWorld bw(cfg, 1);
+    for (unsigned seed = 0; seed < 8; ++seed) {
+      run_lockstep_compare(cfg, bw, 0, 100 + seed, 900 + seed);
+    }
   }
 }
 
 TEST(BatchLaneWorld, SingleEnvMatchesSerialUnderRealWorldShift) {
   // Latency rings, actuation noise draws, and per-episode dynamics jitter
   // all consume RNG in the serial order.
-  const auto cfg = with_real_world_shift(batch_test_config(3, true));
-  BatchLaneWorld bw(cfg, 1);
-  for (unsigned seed = 0; seed < 8; ++seed) {
-    run_lockstep_compare(cfg, bw, 0, 200 + seed, 800 + seed);
+  for (const auto& base :
+       {batch_test_config(3, true), cooperative_lane_change().config}) {
+    const auto cfg = with_real_world_shift(base);
+    BatchLaneWorld bw(cfg, 1);
+    for (unsigned seed = 0; seed < 8; ++seed) {
+      run_lockstep_compare(cfg, bw, 0, 200 + seed, 800 + seed);
+    }
   }
 }
 

@@ -13,20 +13,17 @@
 #   DET_EPISODES        stage-2 episodes               (default 2)
 #   DET_SKILL_EPISODES  stage-1 episodes per skill     (default 2)
 #   DET_WORKERS         --num-workers for both runs    (default 1)
-#   DET_ENVS            --num-envs for both runs       (default 0 = workers)
-#   DET_BATCH_ENVS      --batch-envs for both runs     (default 0 = off)
+#   DET_BATCH_ENVS      --batch-envs for both runs     (default 1)
 #   DET_SCENARIO        --scenario config for both runs (default "" = off)
 #   DET_SCENARIO_VEHICLES  --scenario-vehicles override (default 0 = config)
 #
-# With DET_WORKERS > 1 the gate checks the parallel runtime's same-seed
-# self-consistency: episode RNG streams are keyed to (seed, num_envs), so
-# two identically-seeded multi-worker runs must still agree bitwise
-# (docs/PARALLELISM.md). CI runs the gate at 1 and 4 workers.
+# With DET_WORKERS > 1 stage-1 skills train on a thread pool; the gate then
+# checks that pool's same-seed self-consistency (docs/PARALLELISM.md). CI
+# runs the gate at 1 and 4 workers.
 #
-# With DET_BATCH_ENVS > 0 the batch-first rollout engine collects stage 2
-# (docs/BATCHING.md): results are keyed to (seed, batch_envs), so two
-# identically-seeded runs at the same width must agree bitwise. CI runs
-# the gate at widths 1 and 16.
+# Stage 2 always runs the batch-first rollout engine (docs/BATCHING.md):
+# results are keyed to (seed, batch_envs), so two identically-seeded runs at
+# the same width must agree bitwise. CI runs the gate at widths 1 and 16.
 #
 # With DET_SCENARIO set the gate trains on a declarative scenario config
 # instead of the built-in cooperative lane-change — CI uses this to pin
@@ -46,8 +43,7 @@ seed=${DET_SEED:-7}
 episodes=${DET_EPISODES:-2}
 skill_episodes=${DET_SKILL_EPISODES:-2}
 workers=${DET_WORKERS:-1}
-envs=${DET_ENVS:-0}
-batch_envs=${DET_BATCH_ENVS:-0}
+batch_envs=${DET_BATCH_ENVS:-1}
 scenario=${DET_SCENARIO:-}
 scenario_vehicles=${DET_SCENARIO_VEHICLES:-0}
 
@@ -67,8 +63,7 @@ run() {
         --skill-episodes "$skill_episodes" \
         --episodes "$episodes" \
         --hl-warmup 8 --hl-batch 8 \
-        --num-workers "$workers" --num-envs "$envs" \
-        --batch-envs "$batch_envs" \
+        --num-workers "$workers" --batch-envs "$batch_envs" \
         ${scenario:+--scenario "$scenario"} \
         ${scenario:+--scenario-vehicles "$scenario_vehicles"} \
         --telemetry-out "$out_dir/telemetry.jsonl" \
