@@ -223,6 +223,28 @@ TEST(HeroParallel, ResultsInvariantToWorkerCount) {
   EXPECT_EQ(p1, p4);
 }
 
+TEST(HeroParallel, HooksFireInCanonicalEpisodeOrder) {
+  // A 3-worker stage-1 pool must leave stage 2 reporting episodes in order
+  // at the default width, with the experience in the learner's buffers.
+  Rng rng(29);
+  auto sc = sim::cooperative_lane_change();
+  auto cfg = fast_hero();
+  cfg.num_workers = 3;
+  core::HeroTrainer trainer(sc, cfg, rng);
+  trainer.train_skills(3, rng);
+  std::vector<int> episodes;
+  trainer.train(7, rng, [&](int ep, const rl::EpisodeStats& s) {
+    episodes.push_back(ep);
+    EXPECT_GT(s.steps, 0);
+  });
+  std::vector<int> want(7);
+  for (int i = 0; i < 7; ++i) want[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(episodes, want);
+  for (int k = 0; k < trainer.num_agents(); ++k) {
+    EXPECT_GT(trainer.agent(k).high_level().buffered(), 0u);
+  }
+}
+
 TEST(HeroBatched, RejectsWidthBelowOne) {
   Rng rng(3);
   auto cfg = fast_hero();

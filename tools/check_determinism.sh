@@ -13,7 +13,8 @@
 #   DET_EPISODES        stage-2 episodes               (default 2)
 #   DET_SKILL_EPISODES  stage-1 episodes per skill     (default 2)
 #   DET_WORKERS         --num-workers for both runs    (default 1)
-#   DET_BATCH_ENVS      --batch-envs for both runs     (default 1)
+#   DET_BATCH_ENVS      --batch-envs for both runs     (default "" = flag
+#                       omitted, hero_train's default width 1)
 #   DET_SCENARIO        --scenario config for both runs (default "" = off)
 #   DET_SCENARIO_VEHICLES  --scenario-vehicles override (default 0 = config)
 #
@@ -23,7 +24,8 @@
 #
 # Stage 2 always runs the batch-first rollout engine (docs/BATCHING.md):
 # results are keyed to (seed, batch_envs), so two identically-seeded runs at
-# the same width must agree bitwise. CI runs the gate at widths 1 and 16.
+# the same width must agree bitwise. CI runs the gate at the default width,
+# at an explicit --batch-envs 1 and at 16.
 #
 # With DET_SCENARIO set the gate trains on a declarative scenario config
 # instead of the built-in cooperative lane-change — CI uses this to pin
@@ -43,7 +45,7 @@ seed=${DET_SEED:-7}
 episodes=${DET_EPISODES:-2}
 skill_episodes=${DET_SKILL_EPISODES:-2}
 workers=${DET_WORKERS:-1}
-batch_envs=${DET_BATCH_ENVS:-1}
+batch_envs=${DET_BATCH_ENVS:-}
 scenario=${DET_SCENARIO:-}
 scenario_vehicles=${DET_SCENARIO_VEHICLES:-0}
 
@@ -63,14 +65,15 @@ run() {
         --skill-episodes "$skill_episodes" \
         --episodes "$episodes" \
         --hl-warmup 8 --hl-batch 8 \
-        --num-workers "$workers" --batch-envs "$batch_envs" \
+        --num-workers "$workers" \
+        ${batch_envs:+--batch-envs "$batch_envs"} \
         ${scenario:+--scenario "$scenario"} \
         ${scenario:+--scenario-vehicles "$scenario_vehicles"} \
         --telemetry-out "$out_dir/telemetry.jsonl" \
         > "$out_dir/stdout.log"
 }
 
-echo "run 1/2 (seed $seed, $skill_episodes skill episodes, $episodes episodes, $workers workers, batch $batch_envs${scenario:+, scenario $scenario})..."
+echo "run 1/2 (seed $seed, $skill_episodes skill episodes, $episodes episodes, $workers workers, batch ${batch_envs:-default}${scenario:+, scenario $scenario})..."
 run 1
 echo "run 2/2..."
 run 2

@@ -17,8 +17,9 @@
 // In-process mode (--in-process): no sockets — the same PolicyEngine the
 // server runs is driven directly, C concurrent sessions per scheduling tick,
 // once with cross-request batching (one act_batch of C) and once batch-size-1
-// (C act_batch calls), same worlds, same tick count. This isolates the fused
-// pass from transport noise and produces the BENCH_serve.json gate numbers:
+// (C act_batch calls), same worlds, same tick count, repeated as interleaved
+// pairs (the speedup is the median pair ratio). This isolates the fused pass
+// from transport noise and produces the BENCH_serve.json gate numbers:
 //
 //   hero_loadgen --in-process --ckpt ckpt/ [--clients 16] [--ticks 200]
 //                [--warmup 20] [--bench-out BENCH_serve.json]
@@ -279,9 +280,25 @@ int run_socket_mode(const SocketRun& run, bool shutdown_after) {
 // --- in-process mode -------------------------------------------------------
 
 struct BenchResult {
-  double qps = 0.0;
-  LatencySummary lat;
+  long served = 0;
+  double busy_us = 0.0;
+  std::vector<double> latencies;
+
+  double qps() const {
+    return busy_us > 0.0 ? static_cast<double>(served) / (busy_us * 1e-6) : 0.0;
+  }
+  void merge(const BenchResult& other) {
+    served += other.served;
+    busy_us += other.busy_us;
+    latencies.insert(latencies.end(), other.latencies.begin(),
+                     other.latencies.end());
+  }
 };
+
+// The in-process speedup is the median ratio of this many interleaved
+// (batched, batch-size-1) measurement pairs: host-speed drift then slows both
+// sides of a pair alike, and one slow burst cannot decide the gate.
+constexpr int kSpeedupPairs = 5;
 
 // Drives `clients` concurrent sessions for `ticks` scheduling ticks.
 // `batch_size` is the cross-request batch the engine sees: clients (one fused
@@ -309,11 +326,8 @@ BenchResult run_in_process(serve::PolicyEngine& engine, int clients, int ticks,
   std::vector<sim::TwistCmd> cmds(static_cast<std::size_t>(n));
 
   BenchResult out;
-  std::vector<double> latencies;
-  latencies.reserve(static_cast<std::size_t>(clients) *
-                    static_cast<std::size_t>(ticks));
-  double busy_us = 0.0;
-  long served = 0;
+  out.latencies.reserve(static_cast<std::size_t>(clients) *
+                        static_cast<std::size_t>(ticks));
 
   for (int t = 0; t < warmup + ticks; ++t) {
     const bool measured = t >= warmup;
@@ -342,9 +356,9 @@ BenchResult run_in_process(serve::PolicyEngine& engine, int clients, int ticks,
       engine.act_batch(batch_sessions, batch_reqs, &responses);
       const double dt_us = obs::now_us() - t0;
       if (measured) {
-        busy_us += dt_us;
-        served += count;
-        for (int c = 0; c < count; ++c) latencies.push_back(dt_us);
+        out.busy_us += dt_us;
+        out.served += count;
+        for (int c = 0; c < count; ++c) out.latencies.push_back(dt_us);
       }
       for (int c = 0; c < count; ++c) {
         const auto& resp = responses[static_cast<std::size_t>(c)];
@@ -365,9 +379,7 @@ BenchResult run_in_process(serve::PolicyEngine& engine, int clients, int ticks,
   }
 
   for (std::uint32_t s : sessions) engine.close_session(s);
-  observe_latencies(latencies);
-  out.lat = summarize(latencies);
-  out.qps = busy_us > 0.0 ? static_cast<double>(served) / (busy_us * 1e-6) : 0.0;
+  observe_latencies(out.latencies);
   return out;
 }
 
@@ -386,20 +398,32 @@ int run_in_process_mode(const std::string& ckpt, int clients, int ticks,
                 ckpt.c_str());
   }
 
-  const BenchResult batched = run_in_process(
-      engine, clients, ticks, warmup, seed, static_cast<std::size_t>(clients));
-  const BenchResult single =
-      run_in_process(engine, clients, ticks, warmup, seed, 1);
-  const double speedup =
-      single.qps > 0.0 ? batched.qps / single.qps : 0.0;
+  BenchResult batched;
+  BenchResult single;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kSpeedupPairs; ++pair) {
+    const BenchResult b = run_in_process(engine, clients, ticks, warmup, seed,
+                                         static_cast<std::size_t>(clients));
+    const BenchResult s = run_in_process(engine, clients, ticks, warmup, seed, 1);
+    ratios.push_back(s.qps() > 0.0 ? b.qps() / s.qps() : 0.0);
+    batched.merge(b);
+    single.merge(s);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double speedup = ratios[ratios.size() / 2];
+  const LatencySummary batched_lat = summarize(batched.latencies);
+  const LatencySummary single_lat = summarize(single.latencies);
 
-  std::printf("hero_loadgen --in-process: %d clients, %d ticks (+%d warmup)\n",
-              clients, ticks, warmup);
+  std::printf("hero_loadgen --in-process: %d clients, %d pairs of %d ticks "
+              "(+%d warmup)\n",
+              clients, kSpeedupPairs, ticks, warmup);
   std::printf("  batched (b%d)  qps %10.1f   p50 %8.2f us   p99 %8.2f us\n",
-              clients, batched.qps, batched.lat.p50_us, batched.lat.p99_us);
+              clients, batched.qps(), batched_lat.p50_us, batched_lat.p99_us);
   std::printf("  single  (b1)   qps %10.1f   p50 %8.2f us   p99 %8.2f us\n",
-              single.qps, single.lat.p50_us, single.lat.p99_us);
-  std::printf("  cross-request batching speedup: %.2fx\n", speedup);
+              single.qps(), single_lat.p50_us, single_lat.p99_us);
+  std::printf("  cross-request batching speedup: %.2fx (median of %d pairs, "
+              "%.2f-%.2fx)\n",
+              speedup, kSpeedupPairs, ratios.front(), ratios.back());
 
   if (!bench_out.empty()) {
     std::FILE* f = std::fopen(bench_out.c_str(), "w");
@@ -410,13 +434,13 @@ int run_in_process_mode(const std::string& ckpt, int clients, int ticks,
     }
     std::fprintf(f, "{\"benchmarks\": [\n");
     std::fprintf(f, "  {\"name\": \"ServeQps/b%d\", \"qps\": %.2f},\n", clients,
-                 batched.qps);
+                 batched.qps());
     std::fprintf(f, "  {\"name\": \"ServeQps/b1\", \"qps\": %.2f},\n",
-                 single.qps);
+                 single.qps());
     std::fprintf(f, "  {\"name\": \"ServeLatencyP50/b%d\", \"us\": %.3f},\n",
-                 clients, batched.lat.p50_us);
+                 clients, batched_lat.p50_us);
     std::fprintf(f, "  {\"name\": \"ServeLatencyP99/b%d\", \"us\": %.3f}\n",
-                 clients, batched.lat.p99_us);
+                 clients, batched_lat.p99_us);
     std::fprintf(f, "]}\n");
     std::fclose(f);
     std::printf("  bench written to %s\n", bench_out.c_str());

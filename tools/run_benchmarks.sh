@@ -70,8 +70,10 @@ cmake --build "$build_dir" --target hero_train hero_serve hero_loadgen \
 serve_work=$(mktemp -d "${TMPDIR:-/tmp}/hero_bench_serve.XXXXXX")
 trap 'rm -rf "$serve_work"' EXIT INT TERM
 
+# Four episodes: every opponent predictor reaches min_samples, so the
+# served checkpoint runs the full model.
 "$build_dir/tools/hero_train" --out "$serve_work/ckpt" --seed 5 \
-    --skill-episodes 1 --episodes 2 --hl-warmup 8 --hl-batch 8 \
+    --skill-episodes 1 --episodes 4 --hl-warmup 8 --hl-batch 8 \
     > "$serve_work/train.log"
 
 "$build_dir/tools/hero_loadgen" --in-process --ckpt "$serve_work/ckpt" \

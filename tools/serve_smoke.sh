@@ -21,7 +21,8 @@
 #                        runs on noisy shared CI hardware. BENCH_serve.json
 #                        (tools/run_benchmarks.sh) records the real numbers.
 #   5. in-process gate — hero_loadgen --in-process must report a fused-pass
-#                        speedup >= 1.1x (transport-free lower bound).
+#                        speedup >= 1.1x (transport-free lower bound; the
+#                        median of 5 interleaved batched/single pairs).
 #
 # docs/SERVING.md describes the layer under test.
 set -eu
@@ -81,12 +82,18 @@ stop_server_clean() {
     fi
 }
 
+# Four episodes take every agent's opponent predictors past min_samples, so
+# the checkpoint loads them trusted and each served request runs the full
+# model (skills, high-level actor and opponent nets) that the gates below
+# were calibrated on.
 echo "serve-smoke: training throwaway checkpoint..."
 "$train" --out "$work/ckpt" --seed 5 \
-    --skill-episodes 1 --episodes 2 --hl-warmup 8 --hl-batch 8 \
+    --skill-episodes 1 --episodes 4 --hl-warmup 8 --hl-batch 8 \
     > "$work/train.log"
 test -s "$work/ckpt/checkpoint.json" \
     || { echo "FAIL: training left no checkpoint manifest"; exit 1; }
+grep -q '"opponents_trusted": \[1, 1, 1\]' "$work/ckpt/checkpoint.json" \
+    || { echo "FAIL: checkpoint does not trust every opponent predictor"; exit 1; }
 
 # --- 1. flag parity -------------------------------------------------------
 for bin in "$serve" "$loadgen"; do
