@@ -10,6 +10,45 @@
 
 namespace hero::bench {
 
+namespace {
+
+std::vector<double> uniform_obs(std::size_t dim, Rng& rng) {
+  std::vector<double> v(dim);
+  for (double& x : v) x = rng.uniform(-1.0, 1.0);
+  return v;
+}
+
+}  // namespace
+
+void fill_sac(algos::SacAgent& agent, int transitions, Rng& rng) {
+  for (int i = 0; i < transitions; ++i) {
+    agent.observe(uniform_obs(8, rng), {rng.uniform(0.04, 0.2), rng.uniform(-0.1, 0.1)},
+                  rng.uniform(-1.0, 1.0), uniform_obs(8, rng), i % 50 == 49, rng);
+  }
+}
+
+void fill_high_level(core::HighLevelAgent& agent, core::OpponentModel& opponents,
+                     std::size_t obs_dim, int num_opponents, Rng& rng) {
+  for (int i = 0; i < 512; ++i) {
+    std::vector<double> obs = uniform_obs(obs_dim, rng);
+    opponents.observe(i % num_opponents, obs,
+                      core::option_from_index(i % core::kNumOptions));
+    agent.store({obs,
+                 std::vector<double>(static_cast<std::size_t>(num_opponents) *
+                                         core::kNumOptions,
+                                     1.0 / core::kNumOptions),
+                 i % core::kNumOptions, 0.5, 0.9, uniform_obs(obs_dim, rng), i % 10 == 0});
+  }
+}
+
+void fill_opponent(core::OpponentModel& opponents, std::size_t obs_dim, int labels,
+                   Rng& rng) {
+  for (int i = 0; i < labels; ++i) {
+    opponents.observe(0, uniform_obs(obs_dim, rng),
+                      core::option_from_index(i % core::kNumOptions));
+  }
+}
+
 const std::vector<std::string>& all_methods() {
   static const std::vector<std::string> kMethods = {"dqn", "coma", "maddpg", "maac",
                                                     "hero"};

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "algos/sac.h"
 #include "hero/hero_trainer.h"
 #include "rl/evaluation.h"
 
@@ -49,5 +50,21 @@ std::vector<double> success_series(const std::vector<rl::EpisodeStats>& s);
 // Prints a downsampled curve as aligned "episode value" rows.
 void print_series(const std::string& label, const std::vector<double>& series,
                   std::size_t points);
+
+// Learner-update fixtures shared by the op-level update benchmarks
+// (bench_json, micro_benchmarks). Observations are seeded uniform draws in
+// [-1, 1], so hidden ReLUs see mixed-sign inputs as in training; constant
+// observations would let every activation branch predict perfectly.
+//
+// `transitions` SAC transitions (8-dim observations, actions inside the
+// agent's bounds).
+void fill_sac(algos::SacAgent& agent, int transitions, Rng& rng);
+// 512 option transitions for the high-level learner and labels for each of
+// its `num_opponents` opponent predictors.
+void fill_high_level(core::HighLevelAgent& agent, core::OpponentModel& opponents,
+                     std::size_t obs_dim, int num_opponents, Rng& rng);
+// `labels` labelled observations for opponent predictor 0.
+void fill_opponent(core::OpponentModel& opponents, std::size_t obs_dim, int labels,
+                   Rng& rng);
 
 }  // namespace hero::bench

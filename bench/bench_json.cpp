@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "algos/attention_critic.h"
 #include "algos/coma.h"
 #include "algos/dqn.h"
@@ -186,17 +187,20 @@ std::vector<BenchResult> run_nn_cases(double min_time) {
     const int opp = 2;
     core::HighLevelAgent agent(obs_dim, opp, cfg, rng);
     core::OpponentModel opponents(obs_dim, opp, core::OpponentModelConfig{}, rng);
-    std::vector<double> obs(obs_dim, 0.1);
-    for (int i = 0; i < 512; ++i) {
-      obs[0] = 0.01 * (i % 100);
-      agent.store({obs,
-                   std::vector<double>(static_cast<std::size_t>(opp) * core::kNumOptions,
-                                       1.0 / core::kNumOptions),
-                   i % core::kNumOptions, 0.5, 0.9, obs, i % 10 == 0});
-      opponents.observe(i % opp, obs, core::option_from_index(i % core::kNumOptions));
-    }
+    bench::fill_high_level(agent, opponents, obs_dim, opp, rng);
     out.push_back(time_case("BM_HighLevelUpdate", min_time,
                             [&] { agent.update(opponents, rng); }));
+  }
+
+  {
+    // One opponent-predictor step at dense_stage2's shape: 34 → 32 → 4,
+    // batch 64.
+    Rng rng(1);
+    const std::size_t obs_dim = 34;
+    core::OpponentModel opponents(obs_dim, 1, core::OpponentModelConfig{}, rng);
+    bench::fill_opponent(opponents, obs_dim, 512, rng);
+    out.push_back(time_case("BM_OpponentUpdate", min_time,
+                            [&] { opponents.update(0, rng); }));
   }
 
   for (std::size_t batch : {std::size_t{128}, std::size_t{1024}}) {
@@ -205,10 +209,7 @@ std::vector<BenchResult> run_nn_cases(double min_time) {
     cfg.batch = batch;
     cfg.warmup_steps = 1;
     algos::SacAgent agent(8, {0.04, -0.1}, {0.2, 0.1}, cfg, rng);
-    for (int i = 0; i < 2000; ++i) {
-      agent.observe(std::vector<double>(8, 0.1), {0.1, 0.0}, 0.5,
-                    std::vector<double>(8, 0.2), false, rng);
-    }
+    bench::fill_sac(agent, 2000, rng);
     const std::string name =
         batch == 128 ? "BM_SacUpdate" : "BM_SacUpdate/" + std::to_string(batch);
     out.push_back(time_case(name, min_time, [&] { agent.update(rng); }));

@@ -4,6 +4,7 @@
 // EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
+#include "bench_common.h"
 #include "algos/attention_critic.h"
 #include "algos/sac.h"
 #include "hero/high_level.h"
@@ -113,11 +114,7 @@ static void BM_SacUpdate(benchmark::State& state) {
   cfg.batch = static_cast<std::size_t>(state.range(0));
   cfg.warmup_steps = 1;
   algos::SacAgent agent(8, {0.04, -0.1}, {0.2, 0.1}, cfg, rng);
-  const int fill = static_cast<int>(cfg.batch) * 4;
-  for (int i = 0; i < fill; ++i) {
-    agent.observe(std::vector<double>(8, 0.1), {0.1, 0.0}, 0.5,
-                  std::vector<double>(8, 0.2), false, rng);
-  }
+  bench::fill_sac(agent, static_cast<int>(cfg.batch) * 4, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(agent.update(rng));
   }
@@ -132,19 +129,23 @@ static void BM_HighLevelUpdate(benchmark::State& state) {
   const int opp = 2;
   core::HighLevelAgent agent(obs_dim, opp, cfg, rng);
   core::OpponentModel opponents(obs_dim, opp, core::OpponentModelConfig{}, rng);
-  std::vector<double> obs(obs_dim, 0.1);
-  for (int i = 0; i < 512; ++i) {
-    obs[0] = 0.01 * (i % 100);
-    agent.store({obs,
-                 std::vector<double>(static_cast<std::size_t>(opp) * core::kNumOptions,
-                                     1.0 / core::kNumOptions),
-                 i % core::kNumOptions, 0.5, 0.9, obs, i % 10 == 0});
-    opponents.observe(i % opp, obs, core::option_from_index(i % core::kNumOptions));
-  }
+  bench::fill_high_level(agent, opponents, obs_dim, opp, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(agent.update(opponents, rng));
   }
 }
 BENCHMARK(BM_HighLevelUpdate);
+
+// One opponent-predictor step at dense_stage2's shape: 34 → 32 → 4, batch 64.
+static void BM_OpponentUpdate(benchmark::State& state) {
+  Rng rng(1);
+  const std::size_t obs_dim = 34;
+  core::OpponentModel opponents(obs_dim, 1, core::OpponentModelConfig{}, rng);
+  bench::fill_opponent(opponents, obs_dim, 512, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(opponents.update(0, rng));
+  }
+}
+BENCHMARK(BM_OpponentUpdate);
 
 BENCHMARK_MAIN();

@@ -88,7 +88,7 @@ SacUpdateStats SacAgent::update(Rng& rng) {
     const nn::Matrix& pred = q->forward(critic_in_);
     stats.critic_loss += 0.5 * nn::mse_loss_into(pred, target_, q_grad_);
     q->zero_grad();
-    q->backward(q_grad_);
+    q->backward_params(q_grad_);
     q->clip_grad_norm(cfg_.grad_clip);
     opt->step();
   }
@@ -125,7 +125,7 @@ SacUpdateStats SacAgent::update(Rng& rng) {
   HERO_DCHECK_FINITE(dL_da_, "SacAgent::update dL/da");
   dL_dlogp_.assign(B, cfg_.alpha * inv_b);
   actor_.net().zero_grad();
-  actor_.backward(sample_, dL_da_, dL_dlogp_);
+  actor_.backward_params(sample_, dL_da_, dL_dlogp_);
   actor_.net().clip_grad_norm(cfg_.grad_clip);
   actor_opt_->step();
 

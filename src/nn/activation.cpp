@@ -2,13 +2,13 @@
 
 #include <cmath>
 
+#include "nn/kernels.h"
+
 namespace hero::nn {
 
 void ReLU::forward_into(const Matrix& x, Matrix& y) {
   y.resize(x.rows(), x.cols());
-  const double* src = x.data();
-  double* dst = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) dst[i] = src[i] > 0.0 ? src[i] : 0.0;
+  detail::relu_forward(x.data(), x.size(), y.data());
 }
 
 void ReLU::backward_into(const Matrix& x, const Matrix& y, const Matrix& grad_out,
@@ -16,10 +16,7 @@ void ReLU::backward_into(const Matrix& x, const Matrix& y, const Matrix& grad_ou
   (void)y;
   HERO_CHECK(grad_out.same_shape(x));
   grad_in.resize(x.rows(), x.cols());
-  const double* xs = x.data();
-  const double* g = grad_out.data();
-  double* out = grad_in.data();
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = xs[i] > 0.0 ? g[i] : 0.0;
+  detail::relu_backward(x.data(), grad_out.data(), x.size(), grad_in.data());
 }
 
 void Tanh::forward_into(const Matrix& x, Matrix& y) {

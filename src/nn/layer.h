@@ -56,6 +56,13 @@ class Layer {
     backward_into(x, y, grad_out, grad_in);
   }
 
+  // Like backward_into, but skips dL/d(input): only accumulates parameter
+  // gradients — for the first layer of a network whose caller never reads
+  // the input gradient (every learner update that only steps its own
+  // parameters). Parameterless layers have nothing to do.
+  virtual void backward_params_into(const Matrix& /*x*/, const Matrix& /*y*/,
+                                    const Matrix& /*grad_out*/) {}
+
   // Trainable parameters (empty for activations).
   virtual std::vector<ParamRef> params() { return {}; }
   // Const overload — lets const code (e.g. Mlp::num_params) walk the

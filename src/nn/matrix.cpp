@@ -2,387 +2,9 @@
 
 #include <cmath>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#endif
+#include "nn/kernels.h"
 
 namespace hero::nn {
-namespace {
-
-// Runtime ISA dispatch for the dense kernels: each loop body is an
-// always_inline helper instantiated twice — a baseline x86-64 version and an
-// AVX2+FMA version — and a function pointer picked once at static-init by
-// __builtin_cpu_supports. Release binaries stay portable without giving up
-// the wide units when they exist. (Feature-based dispatch, not
-// target_clones("arch=..."): arch clones match the CPU *model*, which
-// virtualized CPUs with a generic model string fail even when they expose
-// every needed feature bit.)
-#if defined(__x86_64__) && defined(__GNUC__)
-#define HERO_KERNEL_DISPATCH 1
-#define HERO_KERNEL_INLINE __attribute__((always_inline)) inline
-#else
-#define HERO_KERNEL_DISPATCH 0
-#define HERO_KERNEL_INLINE inline
-#endif
-
-// o (m×n) += a (m×k) · b (k×n); every matrix row-major and contiguous, `o`
-// already initialized. k is register-blocked by 4 so each pass over the
-// output row folds in four rank-1 updates — one out-row load/store per four
-// multiply-adds instead of one per multiply-add, which is what the
-// vectorized loop is otherwise bound by.
-HERO_KERNEL_INLINE
-void mm_accum_body(const double* a, std::size_t m, std::size_t k, const double* b,
-                   std::size_t n, double* o) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * k;
-    double* orow = o + i * n;
-    std::size_t c = 0;
-    for (; c + 4 <= k; c += 4) {
-      const double a0 = arow[c], a1 = arow[c + 1], a2 = arow[c + 2], a3 = arow[c + 3];
-      const double* b0 = b + c * n;
-      const double* b1 = b0 + n;
-      const double* b2 = b1 + n;
-      const double* b3 = b2 + n;
-      for (std::size_t j = 0; j < n; ++j) {
-        orow[j] += (a0 * b0[j] + a1 * b1[j]) + (a2 * b2[j] + a3 * b3[j]);
-      }
-    }
-    for (; c < k; ++c) {
-      const double ac = arow[c];
-      const double* brow = b + c * n;
-      for (std::size_t j = 0; j < n; ++j) orow[j] += ac * brow[j];
-    }
-  }
-}
-
-// o (k×n) += aᵀ·b with a (m×k), b (m×n): rank-1 updates over the shared row
-// index, blocked by 4 batch rows — same load/store amortization as mm_accum.
-// Neither transpose is ever materialized.
-HERO_KERNEL_INLINE
-void mm_transA_accum_body(const double* a, std::size_t m, std::size_t k, const double* b,
-                     std::size_t n, double* o) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const double* a0 = a + i * k;
-    const double* a1 = a0 + k;
-    const double* a2 = a1 + k;
-    const double* a3 = a2 + k;
-    const double* b0 = b + i * n;
-    const double* b1 = b0 + n;
-    const double* b2 = b1 + n;
-    const double* b3 = b2 + n;
-    for (std::size_t r = 0; r < k; ++r) {
-      const double w0 = a0[r], w1 = a1[r], w2 = a2[r], w3 = a3[r];
-      double* orow = o + r * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        orow[j] += (w0 * b0[j] + w1 * b1[j]) + (w2 * b2[j] + w3 * b3[j]);
-      }
-    }
-  }
-  for (; i < m; ++i) {
-    const double* arow = a + i * k;
-    const double* brow = b + i * n;
-    for (std::size_t r = 0; r < k; ++r) {
-      const double w = arow[r];
-      double* orow = o + r * n;
-      for (std::size_t j = 0; j < n; ++j) orow[j] += w * brow[j];
-    }
-  }
-}
-
-// o (m×n) = (or +=) a (m×k) · bᵀ with b (n×k): row-dot-row, four dots in
-// flight with two partial sums each — eight independent accumulation chains,
-// so the serial FP-add latency of a lone dot product never gates throughput.
-HERO_KERNEL_INLINE
-void mm_transB_body(const double* a, std::size_t m, std::size_t k, const double* b,
-               std::size_t n, double* o, bool accumulate) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * k;
-    double* orow = o + i * n;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* b0 = b + j * k;
-      const double* b1 = b0 + k;
-      const double* b2 = b1 + k;
-      const double* b3 = b2 + k;
-      double s0a = 0.0, s0b = 0.0, s1a = 0.0, s1b = 0.0;
-      double s2a = 0.0, s2b = 0.0, s3a = 0.0, s3b = 0.0;
-      std::size_t c = 0;
-      for (; c + 2 <= k; c += 2) {
-        const double x0 = arow[c], x1 = arow[c + 1];
-        s0a += x0 * b0[c];
-        s0b += x1 * b0[c + 1];
-        s1a += x0 * b1[c];
-        s1b += x1 * b1[c + 1];
-        s2a += x0 * b2[c];
-        s2b += x1 * b2[c + 1];
-        s3a += x0 * b3[c];
-        s3b += x1 * b3[c + 1];
-      }
-      if (c < k) {
-        const double x = arow[c];
-        s0a += x * b0[c];
-        s1a += x * b1[c];
-        s2a += x * b2[c];
-        s3a += x * b3[c];
-      }
-      if (accumulate) {
-        orow[j] += s0a + s0b;
-        orow[j + 1] += s1a + s1b;
-        orow[j + 2] += s2a + s2b;
-        orow[j + 3] += s3a + s3b;
-      } else {
-        orow[j] = s0a + s0b;
-        orow[j + 1] = s1a + s1b;
-        orow[j + 2] = s2a + s2b;
-        orow[j + 3] = s3a + s3b;
-      }
-    }
-    for (; j < n; ++j) {
-      const double* brow = b + j * k;
-      double sa = 0.0, sb = 0.0;
-      std::size_t c = 0;
-      for (; c + 2 <= k; c += 2) {
-        sa += arow[c] * brow[c];
-        sb += arow[c + 1] * brow[c + 1];
-      }
-      if (c < k) sa += arow[c] * brow[c];
-      if (accumulate) {
-        orow[j] += sa + sb;
-      } else {
-        orow[j] = sa + sb;
-      }
-    }
-  }
-}
-
-// o (m×n) = a (m×k) · w (k×n) + bias (1×n): each output row is seeded with
-// the broadcast bias, then accumulated in place — fusing the two passes
-// halves the traffic over `o`.
-//
-// The k loop is OUTER and the sample loop inner, so each 4-row strip of `w`
-// is loaded once and folded into every sample row while it is L1-hot: `w` is
-// streamed exactly once per call no matter how many rows are batched — the
-// difference between batch-oblivious and genuinely batched inference once
-// the weights outgrow cache (docs/SERVING.md §Throughput). The extra traffic
-// this moves onto `o` (re-swept once per k-block) stays L1-resident for any
-// realistic batch. Every row's accumulation order is identical to the m=1
-// path (k-blocks of 4 in order with the same pairwise sums, then a
-// sequential tail), so results are bitwise independent of both the batch
-// size and a row's position within it — the batched-equals-serial guarantees
-// elsewhere in the repo rely on this.
-HERO_KERNEL_INLINE
-void mm_affine_body(const double* a, std::size_t m, std::size_t k, const double* w,
-               std::size_t n, const double* bias, double* o) {
-  for (std::size_t i = 0; i < m; ++i) {
-    double* orow = o + i * n;
-    for (std::size_t j = 0; j < n; ++j) orow[j] = bias[j];
-  }
-  std::size_t c = 0;
-  for (; c + 4 <= k; c += 4) {
-    const double* w0 = w + c * n;
-    const double* w1 = w0 + n;
-    const double* w2 = w1 + n;
-    const double* w3 = w2 + n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double* arow = a + i * k;
-      double* orow = o + i * n;
-      const double a0 = arow[c], a1 = arow[c + 1], a2 = arow[c + 2], a3 = arow[c + 3];
-      for (std::size_t j = 0; j < n; ++j) {
-        orow[j] += (a0 * w0[j] + a1 * w1[j]) + (a2 * w2[j] + a3 * w3[j]);
-      }
-    }
-  }
-  for (; c < k; ++c) {
-    const double* wrow = w + c * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double ac = a[i * k + c];
-      double* orow = o + i * n;
-      for (std::size_t j = 0; j < n; ++j) orow[j] += ac * wrow[j];
-    }
-  }
-}
-
-using MmAccumFn = void (*)(const double*, std::size_t, std::size_t, const double*,
-                           std::size_t, double*);
-using MmTransBFn = void (*)(const double*, std::size_t, std::size_t, const double*,
-                            std::size_t, double*, bool);
-using MmAffineFn = void (*)(const double*, std::size_t, std::size_t, const double*,
-                            std::size_t, const double*, double*);
-
-void mm_accum_base(const double* a, std::size_t m, std::size_t k, const double* b,
-                   std::size_t n, double* o) {
-  mm_accum_body(a, m, k, b, n, o);
-}
-void mm_transA_accum_base(const double* a, std::size_t m, std::size_t k,
-                          const double* b, std::size_t n, double* o) {
-  mm_transA_accum_body(a, m, k, b, n, o);
-}
-void mm_transB_base(const double* a, std::size_t m, std::size_t k, const double* b,
-                    std::size_t n, double* o, bool accumulate) {
-  mm_transB_body(a, m, k, b, n, o, accumulate);
-}
-void mm_affine_base(const double* a, std::size_t m, std::size_t k, const double* w,
-                    std::size_t n, const double* bias, double* o) {
-  mm_affine_body(a, m, k, w, n, bias, o);
-}
-
-#if HERO_KERNEL_DISPATCH
-#define HERO_TARGET_AVX2 __attribute__((target("avx2,fma")))
-HERO_TARGET_AVX2 void mm_accum_avx2(const double* a, std::size_t m, std::size_t k,
-                                    const double* b, std::size_t n, double* o) {
-  mm_accum_body(a, m, k, b, n, o);
-}
-HERO_TARGET_AVX2 void mm_transA_accum_avx2(const double* a, std::size_t m,
-                                           std::size_t k, const double* b,
-                                           std::size_t n, double* o) {
-  mm_transA_accum_body(a, m, k, b, n, o);
-}
-// The row-dot-row contraction is the one kernel auto-vectorization cannot
-// touch: its inner loop is a reduction, and reassociating it is off-limits
-// without -ffast-math. Hand-vectorized here — four dot products with 256-bit
-// accumulators, folded by a 4-vector horizontal sum.
-HERO_TARGET_AVX2 void mm_transB_avx2(const double* a, std::size_t m, std::size_t k,
-                                     const double* b, std::size_t n, double* o,
-                                     bool accumulate) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * k;
-    double* orow = o + i * n;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* b0 = b + j * k;
-      const double* b1 = b0 + k;
-      const double* b2 = b1 + k;
-      const double* b3 = b2 + k;
-      __m256d v0 = _mm256_setzero_pd();
-      __m256d v1 = _mm256_setzero_pd();
-      __m256d v2 = _mm256_setzero_pd();
-      __m256d v3 = _mm256_setzero_pd();
-      std::size_t c = 0;
-      for (; c + 4 <= k; c += 4) {
-        const __m256d x = _mm256_loadu_pd(arow + c);
-        v0 = _mm256_fmadd_pd(x, _mm256_loadu_pd(b0 + c), v0);
-        v1 = _mm256_fmadd_pd(x, _mm256_loadu_pd(b1 + c), v1);
-        v2 = _mm256_fmadd_pd(x, _mm256_loadu_pd(b2 + c), v2);
-        v3 = _mm256_fmadd_pd(x, _mm256_loadu_pd(b3 + c), v3);
-      }
-      // Fold [v0 v1 v2 v3] into one vector of the four dot products.
-      const __m256d h01 = _mm256_hadd_pd(v0, v1);  // [v0_0+v0_1, v1_0+v1_1, v0_2+v0_3, v1_2+v1_3]
-      const __m256d h23 = _mm256_hadd_pd(v2, v3);
-      const __m256d swap = _mm256_permute2f128_pd(h01, h23, 0x21);
-      const __m256d blnd = _mm256_blend_pd(h01, h23, 0b1100);
-      __m256d sums = _mm256_add_pd(swap, blnd);  // [s0, s1, s2, s3]
-      if (c < k) {
-        double tail[4];
-        _mm256_storeu_pd(tail, sums);
-        for (; c < k; ++c) {
-          const double x = arow[c];
-          tail[0] += x * b0[c];
-          tail[1] += x * b1[c];
-          tail[2] += x * b2[c];
-          tail[3] += x * b3[c];
-        }
-        sums = _mm256_loadu_pd(tail);
-      }
-      if (accumulate) sums = _mm256_add_pd(sums, _mm256_loadu_pd(orow + j));
-      _mm256_storeu_pd(orow + j, sums);
-    }
-    for (; j < n; ++j) {
-      const double* brow = b + j * k;
-      __m256d acc = _mm256_setzero_pd();
-      std::size_t c = 0;
-      for (; c + 4 <= k; c += 4) {
-        acc = _mm256_fmadd_pd(_mm256_loadu_pd(arow + c), _mm256_loadu_pd(brow + c), acc);
-      }
-      const __m128d lo = _mm256_castpd256_pd128(acc);
-      const __m128d hi = _mm256_extractf128_pd(acc, 1);
-      const __m128d pair = _mm_add_pd(lo, hi);
-      double s = _mm_cvtsd_f64(_mm_hadd_pd(pair, pair));
-      for (; c < k; ++c) s += arow[c] * brow[c];
-      if (accumulate) {
-        orow[j] += s;
-      } else {
-        orow[j] = s;
-      }
-    }
-  }
-}
-// Hand-vectorized: the auto-vectorizer cannot prove `o` never aliases `w`,
-// so the shared body compiles to scalar FP even under the avx2 target. The
-// inner loop is elementwise over j (no reduction), and every row runs the
-// exact same instruction sequence, so results remain bitwise independent of
-// the batch size and a row's position within it.
-HERO_TARGET_AVX2 void mm_affine_avx2(const double* a, std::size_t m, std::size_t k,
-                                     const double* w, std::size_t n,
-                                     const double* bias, double* o) {
-  for (std::size_t i = 0; i < m; ++i) {
-    double* orow = o + i * n;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) _mm256_storeu_pd(orow + j, _mm256_loadu_pd(bias + j));
-    for (; j < n; ++j) orow[j] = bias[j];
-  }
-  std::size_t c = 0;
-  for (; c + 4 <= k; c += 4) {
-    const double* w0 = w + c * n;
-    const double* w1 = w0 + n;
-    const double* w2 = w1 + n;
-    const double* w3 = w2 + n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double* arow = a + i * k;
-      double* orow = o + i * n;
-      const __m256d a0 = _mm256_set1_pd(arow[c]);
-      const __m256d a1 = _mm256_set1_pd(arow[c + 1]);
-      const __m256d a2 = _mm256_set1_pd(arow[c + 2]);
-      const __m256d a3 = _mm256_set1_pd(arow[c + 3]);
-      std::size_t j = 0;
-      for (; j + 4 <= n; j += 4) {
-        const __m256d t01 = _mm256_fmadd_pd(a1, _mm256_loadu_pd(w1 + j),
-                                            _mm256_mul_pd(a0, _mm256_loadu_pd(w0 + j)));
-        const __m256d t23 = _mm256_fmadd_pd(a3, _mm256_loadu_pd(w3 + j),
-                                            _mm256_mul_pd(a2, _mm256_loadu_pd(w2 + j)));
-        const __m256d acc = _mm256_add_pd(_mm256_loadu_pd(orow + j),
-                                          _mm256_add_pd(t01, t23));
-        _mm256_storeu_pd(orow + j, acc);
-      }
-      for (; j < n; ++j) {
-        orow[j] += (arow[c] * w0[j] + arow[c + 1] * w1[j]) +
-                   (arow[c + 2] * w2[j] + arow[c + 3] * w3[j]);
-      }
-    }
-  }
-  for (; c < k; ++c) {
-    const double* wrow = w + c * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const __m256d ac = _mm256_set1_pd(a[i * k + c]);
-      double* orow = o + i * n;
-      std::size_t j = 0;
-      for (; j + 4 <= n; j += 4) {
-        _mm256_storeu_pd(orow + j, _mm256_fmadd_pd(ac, _mm256_loadu_pd(wrow + j),
-                                                   _mm256_loadu_pd(orow + j)));
-      }
-      for (; j < n; ++j) orow[j] += a[i * k + c] * wrow[j];
-    }
-  }
-}
-#undef HERO_TARGET_AVX2
-
-bool cpu_has_avx2_fma() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
-const bool kUseAvx2 = cpu_has_avx2_fma();
-const MmAccumFn mm_accum = kUseAvx2 ? mm_accum_avx2 : mm_accum_base;
-const MmAccumFn mm_transA_accum = kUseAvx2 ? mm_transA_accum_avx2 : mm_transA_accum_base;
-const MmTransBFn mm_transB = kUseAvx2 ? mm_transB_avx2 : mm_transB_base;
-const MmAffineFn mm_affine = kUseAvx2 ? mm_affine_avx2 : mm_affine_base;
-#else
-constexpr MmAccumFn mm_accum = mm_accum_base;
-constexpr MmAccumFn mm_transA_accum = mm_transA_accum_base;
-constexpr MmTransBFn mm_transB = mm_transB_base;
-constexpr MmAffineFn mm_affine = mm_affine_base;
-#endif
-
-}  // namespace
 
 Matrix Matrix::row(const std::vector<double>& v) {
   Matrix m(1, v.size());
@@ -435,7 +57,7 @@ void Matrix::matmul_into(const Matrix& other, Matrix& out, bool accumulate) cons
     out.resize(rows_, other.cols_);
     out.fill(0.0);
   }
-  mm_accum(data(), rows_, cols_, other.data(), other.cols_, out.data());
+  detail::mm_accum(data(), rows_, cols_, other.data(), other.cols_, out.data());
 }
 
 void Matrix::matmul_transA_into(const Matrix& other, Matrix& out,
@@ -451,7 +73,7 @@ void Matrix::matmul_transA_into(const Matrix& other, Matrix& out,
     out.resize(cols_, other.cols_);
     out.fill(0.0);
   }
-  mm_transA_accum(data(), rows_, cols_, other.data(), other.cols_, out.data());
+  detail::mm_transA_accum(data(), rows_, cols_, other.data(), other.cols_, out.data());
 }
 
 void Matrix::matmul_transB_into(const Matrix& other, Matrix& out,
@@ -466,7 +88,7 @@ void Matrix::matmul_transB_into(const Matrix& other, Matrix& out,
   } else {
     out.resize(rows_, other.rows_);
   }
-  mm_transB(data(), rows_, cols_, other.data(), other.rows_, out.data(), accumulate);
+  detail::mm_transB(data(), rows_, cols_, other.data(), other.rows_, out.data(), accumulate);
 }
 
 void Matrix::affine_into(const Matrix& w, const Matrix& bias, Matrix& out) const {
@@ -476,7 +98,7 @@ void Matrix::affine_into(const Matrix& w, const Matrix& bias, Matrix& out) const
   HERO_CHECK_MSG(&out != this && &out != &w && &out != &bias,
                  "affine_into: out aliases an operand");
   out.resize(rows_, w.cols_);
-  mm_affine(data(), rows_, cols_, w.data(), w.cols_, bias.data(), out.data());
+  detail::mm_affine(data(), rows_, cols_, w.data(), w.cols_, bias.data(), out.data());
 }
 
 Matrix Matrix::transpose() const {

@@ -86,16 +86,20 @@ std::vector<double> Mlp::forward1(const std::vector<double>& x) {
   return forward(in_row_).row_vec(0);
 }
 
-const Matrix& Mlp::backward(const Matrix& grad_out) {
-  OBS_PHASE("nn_backward");
+void Mlp::seed_backward(const Matrix& grad_out) {
   HERO_CHECK(!layers_.empty());
-  count_backward(grad_out.rows());
   HERO_CHECK_MSG(acts_.size() == layers_.size() + 1,
-                 "Mlp::backward called before forward");
+                 "Mlp backward called before forward");
   HERO_CHECK(grad_out.same_shape(acts_.back()));
   HERO_DCHECK_FINITE(grad_out, "Mlp::backward grad_out");
   if (grads_.size() != acts_.size()) grads_.resize(acts_.size());
   grads_.back().copy_from(grad_out);
+}
+
+const Matrix& Mlp::backward(const Matrix& grad_out) {
+  OBS_PHASE("nn_backward");
+  count_backward(grad_out.rows());
+  seed_backward(grad_out);
   for (std::size_t i = layers_.size(); i-- > 0;) {
     layers_[i]->backward_into(acts_[i], acts_[i + 1], grads_[i + 1], grads_[i]);
   }
@@ -103,13 +107,18 @@ const Matrix& Mlp::backward(const Matrix& grad_out) {
   return grads_.front();
 }
 
+void Mlp::backward_params(const Matrix& grad_out) {
+  OBS_PHASE("nn_backward");
+  count_backward(grad_out.rows());
+  seed_backward(grad_out);
+  for (std::size_t i = layers_.size(); i-- > 1;) {
+    layers_[i]->backward_into(acts_[i], acts_[i + 1], grads_[i + 1], grads_[i]);
+  }
+  layers_[0]->backward_params_into(acts_[0], acts_[1], grads_[1]);
+}
+
 const Matrix& Mlp::backward_input(const Matrix& grad_out) {
-  HERO_CHECK(!layers_.empty());
-  HERO_CHECK_MSG(acts_.size() == layers_.size() + 1,
-                 "Mlp::backward_input called before forward");
-  HERO_CHECK(grad_out.same_shape(acts_.back()));
-  if (grads_.size() != acts_.size()) grads_.resize(acts_.size());
-  grads_.back().copy_from(grad_out);
+  seed_backward(grad_out);
   for (std::size_t i = layers_.size(); i-- > 0;) {
     layers_[i]->backward_input_into(acts_[i], acts_[i + 1], grads_[i + 1], grads_[i]);
   }

@@ -45,6 +45,12 @@ class Mlp {
   // backward on this network). Requires the matching forward() to have run.
   const Matrix& backward(const Matrix& grad_out);
 
+  // Like backward, but only accumulates parameter gradients: the first
+  // layer's input gradient — a full dy·Wᵀ contraction no learner update
+  // reads — is never computed, and nothing is returned. Parameter gradients
+  // are bitwise those of backward().
+  void backward_params(const Matrix& grad_out);
+
   // Like backward, but computes only dL/d(input) and leaves parameter
   // gradients untouched — for differentiating through a frozen network
   // (e.g. dQ/da through the critics in an actor update). Roughly a third
@@ -73,6 +79,10 @@ class Mlp {
   bool empty() const { return layers_.empty(); }
 
  private:
+  // Shape checks shared by the backward sweeps; copies grad_out into the
+  // workspace slot of the output activation.
+  void seed_backward(const Matrix& grad_out);
+
   std::vector<std::unique_ptr<Layer>> layers_;
 
   // Workspace: acts_[0] holds the (copied) input, acts_[i+1] the output of

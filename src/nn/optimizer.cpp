@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/kernels.h"
+
 namespace hero::nn {
 
 Sgd::Sgd(std::vector<ParamRef> params, double lr, double momentum)
@@ -38,20 +40,14 @@ Adam::Adam(std::vector<ParamRef> params, double lr, double beta1, double beta2,
 
 void Adam::step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const detail::AdamCoeffs c{lr_, beta1_, beta2_, eps_,
+                             1.0 - std::pow(beta1_, static_cast<double>(t_)),
+                             1.0 - std::pow(beta2_, static_cast<double>(t_))};
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Matrix& w = *params_[i].value;
     Matrix& g = *params_[i].grad;
     HERO_DCHECK_FINITE(g, "Adam::step gradient");
-    for (std::size_t k = 0; k < w.size(); ++k) {
-      double gk = g.data()[k];
-      m_[i].data()[k] = beta1_ * m_[i].data()[k] + (1.0 - beta1_) * gk;
-      v_[i].data()[k] = beta2_ * v_[i].data()[k] + (1.0 - beta2_) * gk * gk;
-      double mhat = m_[i].data()[k] / bc1;
-      double vhat = v_[i].data()[k] / bc2;
-      w.data()[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    detail::adam_update(w.data(), g.data(), m_[i].data(), v_[i].data(), w.size(), c);
     HERO_DCHECK_FINITE(w, "Adam::step updated weights");
     g.fill(0.0);
   }

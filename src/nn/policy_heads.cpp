@@ -139,6 +139,18 @@ std::vector<double> SquashedGaussianPolicy::act1(const std::vector<double>& obs,
 
 const Matrix& SquashedGaussianPolicy::backward(const Sample& s, const Matrix& dL_da,
                                                const std::vector<double>& dL_dlogp) {
+  trunk_grad_into(s, dL_da, dL_dlogp);
+  return trunk_.backward(grad_out_);
+}
+
+void SquashedGaussianPolicy::backward_params(const Sample& s, const Matrix& dL_da,
+                                             const std::vector<double>& dL_dlogp) {
+  trunk_grad_into(s, dL_da, dL_dlogp);
+  trunk_.backward_params(grad_out_);
+}
+
+void SquashedGaussianPolicy::trunk_grad_into(const Sample& s, const Matrix& dL_da,
+                                             const std::vector<double>& dL_dlogp) {
   const std::size_t k = action_dim();
   const std::size_t n = s.actions.rows();
   HERO_CHECK(dL_da.rows() == n && dL_da.cols() == k && dL_dlogp.size() == n);
@@ -163,7 +175,6 @@ const Matrix& SquashedGaussianPolicy::backward(const Sample& s, const Matrix& dL
       grad_out_(i, k + j) = g_logstd * s.dls_draw(i, j);
     }
   }
-  return trunk_.backward(grad_out_);
 }
 
 // ------------------------ DeterministicTanhPolicy ---------------------------

@@ -84,12 +84,20 @@ class SquashedGaussianPolicy {
   // into the trunk workspace, invalidated by the next backward.
   const Matrix& backward(const Sample& s, const Matrix& dL_da,
                          const std::vector<double>& dL_dlogp);
+  // Same parameter gradients, bitwise, without computing dL/d(obs)
+  // (Mlp::backward_params) — the SAC actor step never reads it.
+  void backward_params(const Sample& s, const Matrix& dL_da,
+                       const std::vector<double>& dL_dlogp);
 
   Mlp& net() { return trunk_; }
   const std::vector<double>& lo() const { return lo_; }
   const std::vector<double>& hi() const { return hi_; }
 
  private:
+  // Writes dL/d(trunk output) for backward / backward_params into grad_out_.
+  void trunk_grad_into(const Sample& s, const Matrix& dL_da,
+                       const std::vector<double>& dL_dlogp);
+
   Mlp trunk_;  // outputs [mean | raw_logstd], width 2k
   std::vector<double> lo_, hi_;
   Matrix obs_row_;    // act1 scratch

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <iomanip>
 #include <sstream>
+#include <string>
 
 #include "nn/grad_check.h"
 #include "nn/losses.h"
@@ -341,6 +344,100 @@ TEST(Serialize, RejectsGarbage) {
   Mlp a(2, {}, 1, rng);
   std::stringstream ss("not a checkpoint");
   EXPECT_THROW(load_params(a, ss), std::runtime_error);
+}
+
+// Exponent forms, negatives, subnormals and integral values.
+const double kSerializeValues[] = {1e-300,    -1.5e+200,   6.02214076e23, -2.5e-7,
+                                   5e-5,      4.9e-324,    -1.23e-310,    1.0,
+                                   -3.0,      0.0,         -0.0,          1e16,
+                                   123456789, 0.1,         -1.0 / 3.0,    1e21,
+                                   1e-4,      1e17,        -7e-320,       2.5};
+
+TEST(Serialize, WriterMatchesOstreamAtPrecision17) {
+  Rng rng(18);
+  Mlp net(3, {4}, 2, rng);
+  auto& ps = net.params();
+  std::size_t next = 0;
+  for (auto p : ps) {
+    for (std::size_t i = 0; i < p.value->size(); ++i) {
+      p.value->data()[i] = kSerializeValues[next++ % std::size(kSerializeValues)];
+    }
+  }
+  std::ostringstream got;
+  save_params(net, got);
+
+  std::ostringstream want;
+  want << "herockpt 1 " << ps.size() << "\n" << std::setprecision(17);
+  for (auto p : ps) {
+    want << p.value->rows() << ' ' << p.value->cols() << '\n';
+    for (std::size_t i = 0; i < p.value->size(); ++i) {
+      want << p.value->data()[i] << (i + 1 == p.value->size() ? '\n' : ' ');
+    }
+  }
+  EXPECT_EQ(got.str(), want.str());
+
+  // ...and the reader restores every value bit for bit.
+  Mlp back(3, {4}, 2, rng);
+  std::istringstream in(got.str());
+  load_params(back, in);
+  auto& bs = back.params();
+  for (std::size_t k = 0; k < ps.size(); ++k) {
+    ASSERT_EQ(std::memcmp(ps[k].value->data(), bs[k].value->data(),
+                          ps[k].value->size() * sizeof(double)),
+              0)
+        << "param " << k;
+  }
+}
+
+TEST(Serialize, ReadsConsecutiveCheckpointsFromOneStream) {
+  Rng rng(19);
+  Mlp a(2, {3}, 1, rng), b(4, {}, 2, rng);
+  std::stringstream ss;
+  save_params(a, ss);
+  save_params(b, ss);
+  Mlp a2(2, {3}, 1, rng), b2(4, {}, 2, rng);
+  load_params(a2, ss);
+  load_params(b2, ss);
+  EXPECT_EQ(a.forward1({0.5, -1.0}), a2.forward1({0.5, -1.0}));
+  EXPECT_EQ(b.forward1({1, 2, 3, 4}), b2.forward1({1, 2, 3, 4}));
+}
+
+TEST(Serialize, NamesEachLoadError) {
+  Rng rng(20);
+  Mlp net(2, {3}, 1, rng);
+  std::ostringstream os;
+  save_params(net, os);
+  const std::string good = os.str();
+  const auto error_of = [&](const std::string& text) -> std::string {
+    Mlp dst(2, {3}, 1, rng);
+    std::istringstream in(text);
+    try {
+      load_params(dst, in);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of(good), "no error");
+  EXPECT_EQ(error_of("herockpt 2 4\n"), "load_params: not a herockpt v1 stream");
+  EXPECT_EQ(error_of("herockpd 1 4\n"), "load_params: not a herockpt v1 stream");
+  EXPECT_EQ(error_of(""), "load_params: not a herockpt v1 stream");
+  EXPECT_EQ(error_of("herockpt 1 3\n"), "load_params: parameter count mismatch");
+  EXPECT_EQ(error_of("herockpt 1 4\n2 4\n"), "load_params: shape mismatch");
+  EXPECT_EQ(error_of(good.substr(0, good.size() / 2)), "load_params: truncated stream");
+  EXPECT_EQ(error_of(good.substr(0, good.size() - 4)), "load_params: truncated stream");
+  std::string garbled = good;
+  garbled[garbled.size() - 3] = 'x';
+  EXPECT_EQ(error_of(garbled), "load_params: truncated stream");
+}
+
+TEST(Serialize, FileSaveReportsWriteFailure) {
+  // /dev/full opens fine and fails every write with ENOSPC: a full disk
+  // must not leave a silently truncated checkpoint behind.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Rng rng(21);
+  Mlp a(3, {4}, 2, rng);
+  EXPECT_THROW(save_params_file(a, "/dev/full"), std::runtime_error);
 }
 
 TEST(Serialize, FileRoundTrip) {

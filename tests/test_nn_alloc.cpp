@@ -13,6 +13,7 @@
 
 #include "nn/losses.h"
 #include "nn/mlp.h"
+#include "nn/optimizer.h"
 
 namespace {
 std::atomic<long> g_allocations{0};
@@ -67,6 +68,28 @@ TEST(AllocationCount, MlpForwardBackwardSteadyStateIsAllocFree) {
       mse_loss_into(net.forward(x), target, grad);
       net.backward(grad);
     }
+  });
+  EXPECT_EQ(n, 0) << n << " heap allocations in 10 steady-state iterations";
+}
+
+TEST(AllocationCount, ParamsOnlyBackwardAndAdamStepAreAllocFree) {
+  // The learner update step: forward, params-only backward, Adam.
+  Rng rng(4);
+  Mlp net(34, {32}, 4, rng);
+  Adam opt(net.params(), 1e-3);
+  Matrix x = Matrix::xavier(64, 34, rng);
+  Matrix target(64, 4, 0.1);
+  Matrix grad;
+  const auto step = [&] {
+    net.zero_grad();
+    mse_loss_into(net.forward(x), target, grad);
+    net.backward_params(grad);
+    opt.step();
+  };
+  for (int i = 0; i < 2; ++i) step();
+
+  const long n = allocations_during([&] {
+    for (int i = 0; i < 10; ++i) step();
   });
   EXPECT_EQ(n, 0) << n << " heap allocations in 10 steady-state iterations";
 }

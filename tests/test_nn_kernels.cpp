@@ -2,16 +2,22 @@
 // reference implementations, plus an end-to-end check that the
 // workspace-based Mlp forward/backward matches a hand-rolled reference
 // network built from the same weights. Tolerances are 1e-12: the fused
-// kernels must be numerically equivalent, not merely close.
+// kernels must be numerically equivalent, not merely close. The
+// shape-specialized kernel paths are held to the generic loops they bypass
+// bitwise (nn/kernels.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "nn/grad_check.h"
+#include "nn/kernels.h"
 #include "nn/linear.h"
 #include "nn/losses.h"
 #include "nn/mlp.h"
+#include "nn/optimizer.h"
 
 namespace hero::nn {
 namespace {
@@ -117,30 +123,194 @@ TEST(FusedKernels, AffineIntoIsRowPositionInvariant) {
   // order or blocking that breaks this is a serving-correctness bug even if
   // it is numerically tiny.
   Rng rng(23);
-  // Odd k and n exercise both the blocked loops and their scalar tails.
-  const std::size_t k = 37, n = 13;
-  Matrix big = random_matrix(16, k, rng);
-  Matrix w = random_matrix(k, n, rng);
-  Matrix bias = random_matrix(1, n, rng);
-  Matrix big_out;
-  big.affine_into(w, bias, big_out);
+  // Odd k and n exercise both the blocked loops and their scalar tails;
+  // n = 1, 4 and 32 the narrow and register-resident paths.
+  const std::size_t k = 37;
+  for (std::size_t n : {std::size_t{13}, std::size_t{1}, std::size_t{4}, std::size_t{32}}) {
+    Matrix big = random_matrix(16, k, rng);
+    Matrix w = random_matrix(k, n, rng);
+    Matrix bias = random_matrix(1, n, rng);
+    Matrix big_out;
+    big.affine_into(w, bias, big_out);
 
-  for (std::size_t rows : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
-    for (std::size_t start = 0; start + rows <= big.rows(); start += rows) {
-      Matrix sub(rows, k);
-      for (std::size_t i = 0; i < rows; ++i) {
-        for (std::size_t j = 0; j < k; ++j) sub(i, j) = big(start + i, j);
-      }
-      Matrix sub_out;
-      sub.affine_into(w, bias, sub_out);
-      for (std::size_t i = 0; i < rows; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          EXPECT_EQ(sub_out(i, j), big_out(start + i, j))
-              << "rows=" << rows << " start=" << start << " (" << i << ", "
-              << j << ")";
+    for (std::size_t rows : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+      for (std::size_t start = 0; start + rows <= big.rows(); start += rows) {
+        Matrix sub(rows, k);
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t j = 0; j < k; ++j) sub(i, j) = big(start + i, j);
+        }
+        Matrix sub_out;
+        sub.affine_into(w, bias, sub_out);
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            EXPECT_EQ(sub_out(i, j), big_out(start + i, j))
+                << "n=" << n << " rows=" << rows << " start=" << start << " (" << i
+                << ", " << j << ")";
+          }
         }
       }
     }
+  }
+}
+
+// ------------------------------- fast paths vs the generic loops ----
+
+// The sweep reaches every specialized path and its fallbacks: narrow and
+// register-resident affine widths (n < 4, n % 4 == 0 up to 32) and the
+// generic ones past them, transB with k = 1, 4 and otherwise (odd and even
+// batch rows), transA with n = 1, 4 and otherwise, each with k- and
+// row-tails.
+constexpr std::size_t kSweepM[] = {1, 3, 16, 128};
+constexpr std::size_t kSweepK[] = {1, 2, 3, 4, 5, 10, 32, 34};
+constexpr std::size_t kSweepN[] = {1, 2, 3, 4, 5, 8, 25, 32, 33, 64};
+
+// Values spread over six decades, so any change to the order in which a
+// kernel rounds its products and sums changes some output bits.
+std::vector<double> spread_values(std::size_t n, Rng& rng) {
+  std::vector<double> v(n);
+  for (double& x : v) x = rng.normal(0.0, 1.0) * std::pow(10.0, rng.uniform(-3.0, 3.0));
+  return v;
+}
+
+// Bitwise comparison: distinguishes -0 from +0, and fails on any NaN.
+::testing::AssertionResult same_bits(const std::vector<double>& got,
+                                     const std::vector<double>& want) {
+  if (got.size() != want.size()) return ::testing::AssertionFailure() << "size";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(FusedKernels, AffineFastPathsMatchGenericLoopBitwise) {
+  Rng rng(61);
+  for (std::size_t m : kSweepM) {
+    for (std::size_t k : kSweepK) {
+      for (std::size_t n : kSweepN) {
+        const auto a = spread_values(m * k, rng);
+        const auto w = spread_values(k * n, rng);
+        const auto bias = spread_values(n, rng);
+        std::vector<double> fast(m * n), generic(m * n);
+        detail::mm_affine(a.data(), m, k, w.data(), n, bias.data(), fast.data());
+        detail::mm_affine_generic(a.data(), m, k, w.data(), n, bias.data(),
+                                  generic.data());
+        EXPECT_TRUE(same_bits(fast, generic)) << "m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(FusedKernels, TransAFastPathsMatchGenericLoopBitwise) {
+  Rng rng(67);
+  for (std::size_t m : kSweepM) {
+    for (std::size_t k : kSweepK) {
+      for (std::size_t n : kSweepN) {
+        const auto a = spread_values(m * k, rng);
+        const auto b = spread_values(m * n, rng);
+        std::vector<double> fast = spread_values(k * n, rng);  // accumulated into
+        std::vector<double> generic = fast;
+        detail::mm_transA_accum(a.data(), m, k, b.data(), n, fast.data());
+        detail::mm_transA_accum_generic(a.data(), m, k, b.data(), n, generic.data());
+        EXPECT_TRUE(same_bits(fast, generic)) << "m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(FusedKernels, TransBFastPathsMatchGenericLoopBitwise) {
+  Rng rng(71);
+  for (std::size_t m : kSweepM) {
+    for (std::size_t k : kSweepK) {
+      for (std::size_t n : kSweepN) {
+        const auto a = spread_values(m * k, rng);
+        const auto b = spread_values(n * k, rng);
+        for (bool accumulate : {false, true}) {
+          std::vector<double> fast = spread_values(m * n, rng);
+          std::vector<double> generic = fast;
+          detail::mm_transB(a.data(), m, k, b.data(), n, fast.data(), accumulate);
+          detail::mm_transB_generic(a.data(), m, k, b.data(), n, generic.data(),
+                                    accumulate);
+          EXPECT_TRUE(same_bits(fast, generic))
+              << "m=" << m << " k=" << k << " n=" << n << " accumulate=" << accumulate;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedKernels, TransBWithZeroProductsKeepsGenericSignOfZero) {
+  // The generic loop seeds its dot products with +0, so a product that is
+  // exactly -0 comes out +0; the k = 1 and k = 4 paths must keep that.
+  for (std::size_t k : {std::size_t{1}, std::size_t{4}}) {
+    const std::size_t m = 3, n = 9;
+    std::vector<double> a(m * k, -0.0), b(n * k, 2.0);
+    a[0] = 1.0;
+    b[1] = -0.0;
+    std::vector<double> fast(m * n), generic(m * n);
+    detail::mm_transB(a.data(), m, k, b.data(), n, fast.data(), false);
+    detail::mm_transB_generic(a.data(), m, k, b.data(), n, generic.data(), false);
+    EXPECT_TRUE(same_bits(fast, generic)) << "k=" << k;
+  }
+}
+
+TEST(FusedKernels, ReluMatchesConditionalBitwise) {
+  // Semantics are x > 0 ? x : 0 — NaN and -0 map to +0 — at every length
+  // around the vector widths.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double special[] = {-0.0, 0.0, nan, -nan, inf, -inf, 4.9e-324, -4.9e-324,
+                            1.5, -2.5, 1e300, -1e-300};
+  Rng rng(73);
+  for (std::size_t len = 0; len <= 13; ++len) {
+    std::vector<double> x(len), g = spread_values(len, rng);
+    for (std::size_t i = 0; i < len; ++i) {
+      x[i] = i < std::size(special) ? special[(i + len) % std::size(special)]
+                                    : rng.normal(0.0, 1.0);
+    }
+    if (len > 0) g[len / 2] = -0.0;
+    std::vector<double> y(len), gin(len), want_y(len), want_gin(len);
+    detail::relu_forward(x.data(), len, y.data());
+    detail::relu_backward(x.data(), g.data(), len, gin.data());
+    for (std::size_t i = 0; i < len; ++i) {
+      want_y[i] = x[i] > 0.0 ? x[i] : 0.0;
+      want_gin[i] = x[i] > 0.0 ? g[i] : 0.0;
+    }
+    EXPECT_TRUE(same_bits(y, want_y)) << "len=" << len;
+    EXPECT_TRUE(same_bits(gin, want_gin)) << "len=" << len;
+  }
+}
+
+// The scalar Adam step, every operation rounded on its own.
+__attribute__((optimize("fp-contract=off"))) void adam_reference(
+    double* w, const double* g, double* m, double* v, std::size_t n,
+    const detail::AdamCoeffs& c) {
+  for (std::size_t k = 0; k < n; ++k) {
+    m[k] = c.beta1 * m[k] + (1.0 - c.beta1) * g[k];
+    v[k] = c.beta2 * v[k] + (1.0 - c.beta2) * g[k] * g[k];
+    w[k] -= c.lr * (m[k] / c.bc1) / (std::sqrt(v[k] / c.bc2) + c.eps);
+  }
+}
+
+TEST(FusedKernels, AdamUpdateMatchesScalarStepBitwise) {
+  Rng rng(79);
+  for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{7},
+                        std::size_t{32}, std::size_t{1089}}) {
+    const detail::AdamCoeffs c{3e-4, 0.9, 0.999, 1e-8, 1.0 - std::pow(0.9, 3.0),
+                               1.0 - std::pow(0.999, 3.0)};
+    std::vector<double> w = spread_values(n, rng), g = spread_values(n, rng);
+    std::vector<double> m = spread_values(n, rng), v = spread_values(n, rng);
+    for (double& x : v) x = std::abs(x);
+    std::vector<double> w2 = w, m2 = m, v2 = v;
+    for (int step = 0; step < 3; ++step) {
+      detail::adam_update(w.data(), g.data(), m.data(), v.data(), n, c);
+      adam_reference(w2.data(), g.data(), m2.data(), v2.data(), n, c);
+    }
+    EXPECT_TRUE(same_bits(w, w2)) << "n=" << n;
+    EXPECT_TRUE(same_bits(m, m2)) << "n=" << n;
+    EXPECT_TRUE(same_bits(v, v2)) << "n=" << n;
   }
 }
 
@@ -312,6 +482,48 @@ TEST(MlpEquivalence, BackwardInputMatchesBackwardAndSkipsParamGrads) {
   for (auto p : net.params()) {
     for (std::size_t k = 0; k < p.grad->size(); ++k) {
       EXPECT_EQ(p.grad->data()[k], 0.0);
+    }
+  }
+}
+
+TEST(MlpEquivalence, BackwardParamsMatchesBackwardBitwise) {
+  // The learner shapes: an opponent predictor, a twin critic with its
+  // value head, and an actor with a 4-wide head.
+  struct Shape {
+    std::size_t in;
+    std::vector<std::size_t> hidden;
+    std::size_t out;
+    std::size_t batch;
+  };
+  const Shape shapes[] = {{34, {32}, 4, 64}, {10, {32, 32}, 1, 128}, {8, {32, 32}, 4, 128},
+                          {6, {8, 8}, 3, 5}};
+  Rng rng(83);
+  for (const Shape& sh : shapes) {
+    Mlp net(sh.in, sh.hidden, sh.out, rng);
+    Matrix x = random_matrix(sh.batch, sh.in, rng);
+    Matrix grad_out = random_matrix(sh.batch, sh.out, rng);
+
+    net.zero_grad();
+    net.forward(x);
+    net.backward(grad_out);
+    net.forward(x);
+    net.backward(grad_out);  // accumulates onto the first pass
+    std::vector<std::vector<double>> full;
+    for (auto p : net.params()) {
+      full.emplace_back(p.grad->data(), p.grad->data() + p.grad->size());
+    }
+
+    net.zero_grad();
+    net.forward(x);
+    net.backward_params(grad_out);
+    net.forward(x);
+    net.backward_params(grad_out);
+    const auto& ps = net.params();
+    ASSERT_EQ(ps.size(), full.size());
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      const std::vector<double> got(ps[i].grad->data(),
+                                    ps[i].grad->data() + ps[i].grad->size());
+      EXPECT_TRUE(same_bits(got, full[i])) << "in=" << sh.in << " param " << i;
     }
   }
 }

@@ -49,9 +49,7 @@ batch_envs=${DET_BATCH_ENVS:-}
 scenario=${DET_SCENARIO:-}
 scenario_vehicles=${DET_SCENARIO_VEHICLES:-0}
 
-cmake -B "$build_dir" -S "$repo_root" > /dev/null
-cmake --build "$build_dir" --target hero_train -j"$(nproc 2>/dev/null || echo 1)" \
-    > /dev/null
+"$repo_root/tools/smoke_build.sh" "$build_dir" hero_train
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/hero_determinism.XXXXXX")
 trap 'rm -rf "$work"' EXIT INT TERM

@@ -18,9 +18,7 @@ set -eu
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build"}
 
-cmake -B "$build_dir" -S "$repo_root" > /dev/null
-cmake --build "$build_dir" --target hero_train hero_eval hero_monitor \
-    -j"$(nproc 2>/dev/null || echo 1)" > /dev/null
+"$repo_root/tools/smoke_build.sh" "$build_dir" hero_train hero_eval hero_monitor
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/hero_monitor_smoke.XXXXXX")
 trap 'rm -rf "$work"' EXIT INT TERM

@@ -30,9 +30,7 @@ set -eu
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build"}
 
-cmake -B "$build_dir" -S "$repo_root" > /dev/null
-cmake --build "$build_dir" --target hero_train hero_serve hero_loadgen \
-    -j"$(nproc 2>/dev/null || echo 1)" > /dev/null
+"$repo_root/tools/smoke_build.sh" "$build_dir" hero_train hero_serve hero_loadgen
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/hero_serve_smoke.XXXXXX")
 server_pid=""
