@@ -213,8 +213,7 @@ void relu_backward_body(const double* x, const double* g, std::size_t n, double*
   for (std::size_t i = 0; i < n; ++i) out[i] = x[i] > 0.0 ? g[i] : 0.0;
 }
 
-HERO_KERNEL_INLINE
-void adam_update_body(double* w, const double* g, double* m, double* v, std::size_t n,
+void adam_update_base(double* w, const double* g, double* m, double* v, std::size_t n,
                       const AdamCoeffs& c) {
   for (std::size_t k = 0; k < n; ++k) {
     const double gk = g[k];
@@ -252,10 +251,6 @@ void mm_transB_base(const double* a, std::size_t m, std::size_t k, const double*
 void mm_affine_base(const double* a, std::size_t m, std::size_t k, const double* w,
                     std::size_t n, const double* bias, double* o) {
   mm_affine_body(a, m, k, w, n, bias, o);
-}
-void adam_update_base(double* w, const double* g, double* m, double* v, std::size_t n,
-                      const AdamCoeffs& c) {
-  adam_update_body(w, g, m, v, n, c);
 }
 
 #if HERO_KERNEL_DISPATCH
