@@ -243,12 +243,15 @@ TEST(FusedKernels, TransBFastPathsMatchGenericLoopBitwise) {
 
 TEST(FusedKernels, TransBWithZeroProductsKeepsGenericSignOfZero) {
   // The generic loop seeds its dot products with +0, so a product that is
-  // exactly -0 comes out +0; the k = 1 and k = 4 paths must keep that.
+  // exactly -0 comes out +0, while one that underflows to -0 inside a fused
+  // multiply-add keeps its sign; the k = 1 and k = 4 paths must do the same.
   for (std::size_t k : {std::size_t{1}, std::size_t{4}}) {
     const std::size_t m = 3, n = 9;
     std::vector<double> a(m * k, -0.0), b(n * k, 2.0);
     a[0] = 1.0;
     b[1] = -0.0;
+    a[k] = 1e-200;
+    b[2 * k] = -1e-200;
     std::vector<double> fast(m * n), generic(m * n);
     detail::mm_transB(a.data(), m, k, b.data(), n, fast.data(), false);
     detail::mm_transB_generic(a.data(), m, k, b.data(), n, generic.data(), false);
