@@ -291,8 +291,8 @@ void relu_backward_base(const double* x, const double* g, std::size_t n, double*
 
 // ----- generic AVX2 loops ----------------------------------------------------
 // The reference every shape-specialized path below is held to, bitwise.
-// Kept out of line so they compile exactly as they did before the
-// specialized paths existed.
+// Kept out of line, so inlining into a dispatcher cannot change how they
+// compile.
 
 HERO_TARGET_AVX2 void mm_accum_avx2(const double* a, std::size_t m, std::size_t k,
                                     const double* b, std::size_t n, double* o) {
@@ -466,7 +466,8 @@ HERO_GENERIC_AVX2 void mm_affine_generic_avx2(const double* a, std::size_t m,
 
 // affine, n % 4 == 0 and n ≤ 32: the output row lives in NV = n/4 registers
 // across all of k instead of being reloaded and stored per k-block. The
-// weights of such a layer are a few KB and stay L1-resident row after row.
+// weights of such a layer (k×n ≤ k×32 doubles, tens of KB at most for the
+// input widths here) stay cache-resident row after row.
 template <int NV>
 HERO_TARGET_AVX2 void affine_rows_avx2(const double* a, std::size_t m, std::size_t k,
                                        const double* w, const double* bias, double* o) {
