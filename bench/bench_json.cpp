@@ -14,8 +14,8 @@
 // core, so every number here — including the BM_BatchStep/E* and
 // BM_BatchedRollout/E* batch-first entries — measures single-thread
 // throughput. Batching wins come from amortized forward passes and update
-// cadence (docs/BATCHING.md), not from parallel hardware; the baselines'
-// "/wN" worker variants likewise record dispatch overhead, not speedup.
+// cadence (docs/BATCHING.md), not from parallel hardware. The "dqn/wN"
+// worker variants time DQN's update pool, the only baseline that keeps one.
 //
 // Run:  ./bench_json [--nn-out F] [--train-out F] [--min-time SECONDS]
 #include <chrono>
@@ -239,13 +239,12 @@ TrainSlice time_train(const std::string& name, TrainFn&& fn) {
   return s;
 }
 
-// One pass over the trainers at a fixed worker count. Names carry a "/wN"
-// suffix for N > 1 so the single-worker entries keep their historical names
-// (and their seed baselines). On a single-core host the multi-worker
-// numbers measure dispatch overhead, not speedup — the snapshot records what
-// the hardware actually delivered (docs/PARALLELISM.md). HERO runs at one
-// worker only: its stage 2 is the single-threaded batched engine, so a
-// worker count would change nothing but its stage-1 skill pool.
+// One pass over the trainers at a fixed worker count. Only DQN has a worker
+// pool (docs/PARALLELISM.md §baselines), so only its entry carries a "/wN"
+// suffix for N > 1; the other trainers run once, at N = 1, under their
+// historical names (and seed baselines). HERO's stage 2 is the
+// single-threaded batched engine, so a worker count would change nothing
+// but its stage-1 skill pool.
 void run_train_cases(int episodes, int workers, std::vector<TrainSlice>& out) {
   using namespace hero;
   const sim::Scenario scenario = sim::cooperative_lane_change();
@@ -265,40 +264,37 @@ void run_train_cases(int episodes, int workers, std::vector<TrainSlice>& out) {
     t.train(episodes, rng, step_counter(steps));
     return steps;
   }));
+  if (workers > 1) return;
 
-  out.push_back(time_train("coma" + suffix, [&] {
+  out.push_back(time_train("coma", [&] {
     Rng rng(1);
     algos::ComaConfig cfg;
-    cfg.num_workers = workers;
     algos::ComaTrainer t(scenario, cfg, rng);
     long steps = 0;
     t.train(episodes, rng, step_counter(steps));
     return steps;
   }));
 
-  out.push_back(time_train("maddpg" + suffix, [&] {
+  out.push_back(time_train("maddpg", [&] {
     Rng rng(1);
     algos::MaddpgConfig cfg;
     cfg.warmup_steps = 64;
-    cfg.num_workers = workers;
     algos::MaddpgTrainer t(scenario, cfg, rng);
     long steps = 0;
     t.train(episodes, rng, step_counter(steps));
     return steps;
   }));
 
-  out.push_back(time_train("maac" + suffix, [&] {
+  out.push_back(time_train("maac", [&] {
     Rng rng(1);
     algos::MaacConfig cfg;
     cfg.warmup_steps = 64;
-    cfg.num_workers = workers;
     algos::MaacTrainer t(scenario, cfg, rng);
     long steps = 0;
     t.train(episodes, rng, step_counter(steps));
     return steps;
   }));
 
-  if (workers > 1) return;
   out.push_back(time_train("hero", [&] {
     Rng rng(1);
     core::HeroConfig cfg;

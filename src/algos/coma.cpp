@@ -27,18 +27,6 @@ ComaTrainer::ComaTrainer(const sim::Scenario& scenario, const ComaConfig& cfg, R
   critic_target_ = critic_;
   critic_opt_ =
       std::make_unique<nn::Adam>(critic_.params(), cfg_.lr * cfg_.critic_lr_scale);
-  if (cfg_.num_workers > 1) {
-    pool_ = std::make_unique<runtime::ThreadPool>(
-        static_cast<std::size_t>(cfg_.num_workers));
-  }
-}
-
-void ComaTrainer::for_rows(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (pool_) {
-    pool_->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
 }
 
 void ComaTrainer::critic_input_into(const StepRecord& rec, int agent,
@@ -121,10 +109,10 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
     // ----- critic regression: Q(s_t, a^i_t) → G_t -----
     critic_in_m_.resize(T, critic_.in_dim());
     taken_.resize(T);
-    for_rows(T, [&](std::size_t t) {
+    for (std::size_t t = 0; t < T; ++t) {
       critic_input_into(episode[t], i, critic_in_m_.row_ptr(t));
       taken_[t] = episode[t].actions[static_cast<std::size_t>(i)];
-    });
+    }
     const nn::Matrix& qs = critic_.forward(critic_in_m_);
     nn::mse_loss_selected_into(qs, taken_, returns_, closs_grad_);
     critic_.zero_grad();
@@ -136,10 +124,10 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
     // Recompute Q after the critic step for a slightly fresher estimate.
     const nn::Matrix& q_now = critic_.forward(critic_in_m_);
     obs_m_.resize(T, obs_dim_);
-    for_rows(T, [&](std::size_t t) {
+    for (std::size_t t = 0; t < T; ++t) {
       const auto& o = episode[t].obs[static_cast<std::size_t>(i)];
       std::copy(o.begin(), o.end(), obs_m_.row_ptr(t));
-    });
+    }
 
     auto& actor = actors_[static_cast<std::size_t>(i)];
     const nn::Matrix& logits = actor.net().forward(obs_m_);
@@ -151,7 +139,7 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
     const double inv_t = 1.0 / static_cast<double>(T);
     dlogits_.resize(T, A);
     dlogits_.fill(0.0);
-    for_rows(T, [&](std::size_t t) {
+    for (std::size_t t = 0; t < T; ++t) {
       double baseline = 0.0;
       for (std::size_t a = 0; a < A; ++a) baseline += probs_(t, a) * q_now(t, a);
       const double adv = q_now(t, taken_[t]) - baseline;
@@ -166,7 +154,7 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
       for (std::size_t a = 0; a < A; ++a) {
         dlogits_(t, a) += cfg_.entropy_coef * probs_(t, a) * (logp_(t, a) + ent) * inv_t;
       }
-    });
+    }
     actor.net().zero_grad();
     actor.net().backward(dlogits_);
     actor.net().clip_grad_norm(cfg_.grad_clip);

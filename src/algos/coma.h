@@ -13,7 +13,6 @@
 #include "nn/optimizer.h"
 #include "nn/policy_heads.h"
 #include "rl/discretizer.h"
-#include "runtime/thread_pool.h"
 
 namespace hero::algos {
 
@@ -56,12 +55,6 @@ class ComaTrainer : public rl::Controller {
   // actions of the other agents], written into a preallocated matrix row.
   void critic_input_into(const StepRecord& rec, int agent, double* row) const;
   void update_from_episode(const std::vector<StepRecord>& episode, Rng& rng);
-  // Runs fn(t) for t in [0, n) — on the pool when num_workers > 1. Used for
-  // the per-timestep batch-assembly loops (index-addressed row writes, so
-  // results are bitwise identical at any worker count). The gradient chain
-  // itself stays serial: COMA's critic is one shared network whose steps are
-  // interleaved with the per-agent actor updates.
-  void for_rows(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   sim::Scenario scenario_;
   ComaConfig cfg_;
@@ -81,7 +74,6 @@ class ComaTrainer : public rl::Controller {
   nn::Matrix act_obs_, act_probs_;       // act_rows scratch
   std::vector<double> returns_;
   std::vector<std::size_t> taken_;
-  std::unique_ptr<runtime::ThreadPool> pool_;  // null while num_workers <= 1
 };
 
 }  // namespace hero::algos

@@ -38,19 +38,6 @@ struct TrainConfig {
   // Gaussian exploration noise (deterministic-policy methods).
   double act_noise = 0.1;
 
-  // Worker threads for the update phase (runtime::ThreadPool). The parallel
-  // paths draw every RNG value serially in agent order before fanning out,
-  // and workers write only index-addressed state — so results are bitwise
-  // identical to num_workers == 1 at any worker count
-  // (docs/PARALLELISM.md §baselines).
-  int num_workers = 1;
-
-  // Batch-first collection (docs/BATCHING.md): > 0 rolls out that many
-  // episodes in lockstep through one vectorized BatchLaneWorld, with policy
-  // evaluation batched across environments and the update/ε clocks counting
-  // synchronized batch steps. Trainers opt in per method (DQN today);
-  // results are keyed to (seed, batch_envs).
-  int batch_envs = 0;
 };
 
 // Per-episode callback: (episode index, training-episode stats).

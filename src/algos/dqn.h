@@ -28,6 +28,19 @@ struct DqnConfig : TrainConfig {
   double per_alpha = 0.6;
   double per_beta0 = 0.4;
   long per_beta_steps = 20000;
+
+  // Worker threads for the per-agent updates (runtime::ThreadPool). The
+  // parallel path draws every RNG value serially in agent order before
+  // fanning out, and workers write only agent-indexed state — so results
+  // are bitwise identical to num_workers == 1 at any worker count
+  // (docs/PARALLELISM.md §baselines).
+  int num_workers = 1;
+
+  // Batch-first collection (docs/BATCHING.md): > 0 rolls out that many
+  // episodes in lockstep through one vectorized BatchLaneWorld, with policy
+  // evaluation batched across environments and the update/ε clocks counting
+  // synchronized batch steps. Results are keyed to (seed, batch_envs).
+  int batch_envs = 0;
 };
 
 class IndependentDqnTrainer : public rl::Controller {

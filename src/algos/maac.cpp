@@ -22,18 +22,6 @@ MaacTrainer::MaacTrainer(const sim::Scenario& scenario, const MaacConfig& cfg, R
   critic_target_ = std::make_unique<AttentionCritic>(*critic_);
   actor_opt_ = std::make_unique<nn::Adam>(actor_.net().params(), cfg_.lr * 0.5);
   critic_opt_ = std::make_unique<nn::Adam>(critic_->params(), cfg_.lr);
-  if (cfg_.num_workers > 1) {
-    pool_ = std::make_unique<runtime::ThreadPool>(
-        static_cast<std::size_t>(cfg_.num_workers));
-  }
-}
-
-void MaacTrainer::for_rows(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (pool_) {
-    pool_->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
 }
 
 std::vector<double> MaacTrainer::actor_obs(const std::vector<double>& obs,
@@ -112,14 +100,14 @@ void MaacTrainer::update(Rng& rng) {
   // Fills actor_in_ with [obs ; onehot(agent)] rows for agent j's (next_)obs.
   auto fill_actor_in = [&](int j, bool next) {
     actor_in_.resize(B, obs_dim_ + N);
-    for_rows(B, [&](std::size_t b) {
+    for (std::size_t b = 0; b < B; ++b) {
       const auto& o = next ? batch[b]->next_obs[static_cast<std::size_t>(j)]
                            : batch[b]->obs[static_cast<std::size_t>(j)];
       double* row = actor_in_.row_ptr(b);
       std::copy(o.begin(), o.end(), row);
       for (std::size_t k = 0; k < N; ++k)
         row[obs_dim_ + k] = (static_cast<int>(k) == j) ? 1.0 : 0.0;
-    });
+    }
   };
 
   // Sample next actions for every agent from the current (shared) actor, and
@@ -153,18 +141,17 @@ void MaacTrainer::update(Rng& rng) {
   // Fills own_m_ / others_m_ for a focal agent from (next_)obs and actions.
   auto fill_own = [&](int i, bool next) {
     own_m_.resize(B, obs_dim_);
-    for_rows(B, [&](std::size_t b) {
+    for (std::size_t b = 0; b < B; ++b) {
       const auto& o = next ? batch[b]->next_obs[static_cast<std::size_t>(i)]
                            : batch[b]->obs[static_cast<std::size_t>(i)];
       std::copy(o.begin(), o.end(), own_m_.row_ptr(b));
-    });
+    }
   };
   auto fill_others = [&](int focal, auto obs_of, auto action_of) {
     others_m_.resize(m * B, obs_dim_ + A);
     others_m_.fill(0.0);
-    // Row index r = jj·B + b over the non-focal agents, flattened so every
-    // row is written by exactly one task.
-    for_rows(m * B, [&](std::size_t r) {
+    // Row index r = jj·B + b over the non-focal agents.
+    for (std::size_t r = 0; r < m * B; ++r) {
       const std::size_t jj = r / B;
       const std::size_t b = r % B;
       int j = static_cast<int>(jj);
@@ -173,7 +160,7 @@ void MaacTrainer::update(Rng& rng) {
       double* row = others_m_.row_ptr(r);
       std::copy(o.begin(), o.end(), row);
       row[obs_dim_ + action_of(j, b)] = 1.0;
-    });
+    }
   };
 
   // ----- critic update (all agents share one critic; grads accumulate) -----
@@ -189,13 +176,13 @@ void MaacTrainer::update(Rng& rng) {
         [&](int j, std::size_t b) { return next_actions_[static_cast<std::size_t>(j)][b]; });
     critic_target_->forward(own_m_, others_m_, tgt_pass_);
 
-    for_rows(B, [&](std::size_t b) {
+    for (std::size_t b = 0; b < B; ++b) {
       const std::size_t a_next = next_actions_[static_cast<std::size_t>(i)][b];
       const double soft_q = tgt_pass_.q(b, a_next) -
                             cfg_.alpha * next_logp_[static_cast<std::size_t>(i)][b];
       y_[b] = batch[b]->rewards[static_cast<std::size_t>(i)] +
               (batch[b]->done ? 0.0 : cfg_.gamma * soft_q);
-    });
+    }
 
     fill_own(i, /*next=*/false);
     for (std::size_t b = 0; b < B; ++b)
@@ -231,7 +218,7 @@ void MaacTrainer::update(Rng& rng) {
     nn::log_softmax_into(logits, logp_);
     dlogits_.resize(B, A);
     const double inv = 1.0 / static_cast<double>(B * N);
-    for_rows(B, [&](std::size_t b) {
+    for (std::size_t b = 0; b < B; ++b) {
       double mean_f = 0.0;
       for (std::size_t a = 0; a < A; ++a) {
         mean_f += probs_(b, a) * (pass_.q(b, a) - cfg_.alpha * logp_(b, a));
@@ -240,7 +227,7 @@ void MaacTrainer::update(Rng& rng) {
         const double f = pass_.q(b, a) - cfg_.alpha * logp_(b, a);
         dlogits_(b, a) = -probs_(b, a) * (f - mean_f) * inv;  // minimize −J
       }
-    });
+    }
     actor_.net().backward(dlogits_);
   }
   actor_.net().clip_grad_norm(cfg_.grad_clip);

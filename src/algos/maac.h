@@ -15,7 +15,6 @@
 #include "nn/policy_heads.h"
 #include "rl/discretizer.h"
 #include "rl/replay_buffer.h"
-#include "runtime/thread_pool.h"
 
 namespace hero::algos {
 
@@ -62,12 +61,6 @@ class MaacTrainer : public rl::Controller {
   std::size_t sample_action(int agent, const std::vector<double>& obs, Rng& rng,
                             bool greedy);
   void update(Rng& rng);
-  // Runs fn(i) for i in [0, n) — on the pool when num_workers > 1. Used for
-  // the minibatch-assembly loops (index-addressed row writes ⇒ results are
-  // bitwise identical at any worker count). The network passes stay serial:
-  // MAAC's actor and attention critic are shared across agents, and the
-  // critic accumulates gradients agent by agent.
-  void for_rows(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   sim::Scenario scenario_;
   MaacConfig cfg_;
@@ -96,7 +89,6 @@ class MaacTrainer : public rl::Controller {
   nn::Matrix act_gather_, act_in_rows_, act_probs_;  // act_rows scratch
   std::vector<double> y_;
   std::vector<std::size_t> taken_;
-  std::unique_ptr<runtime::ThreadPool> pool_;  // null while num_workers <= 1
 };
 
 }  // namespace hero::algos

@@ -28,19 +28,6 @@ MaddpgTrainer::MaddpgTrainer(const sim::Scenario& scenario, const MaddpgConfig& 
                                                     cfg_.lr * 0.5));
     critic_opt_.push_back(std::make_unique<nn::Adam>(critics_.back().params(), cfg_.lr));
   }
-  scratch_.resize(static_cast<std::size_t>(n_));
-  if (cfg_.num_workers > 1) {
-    pool_ = std::make_unique<runtime::ThreadPool>(
-        static_cast<std::size_t>(cfg_.num_workers));
-  }
-}
-
-void MaddpgTrainer::for_agents(const std::function<void(std::size_t)>& fn) {
-  if (pool_) {
-    pool_->parallel_for(static_cast<std::size_t>(n_), fn);
-  } else {
-    for (std::size_t i = 0; i < static_cast<std::size_t>(n_); ++i) fn(i);
-  }
 }
 
 void MaddpgTrainer::act_rows_into(const rl::ObsBatch& batch, Rng* const* rngs,
@@ -126,12 +113,11 @@ void MaddpgTrainer::update(Rng& rng) {
     }
   }
 
-  // Target joint action a' = (μ'_1(o'_1), ..., μ'_N(o'_N)). Each agent's
-  // target actor reads its own scratch and writes a disjoint column block —
-  // index-addressed, so the fan-out below cannot reorder results.
+  // Target joint action a' = (μ'_1(o'_1), ..., μ'_N(o'_N)); each agent's
+  // target actor writes its own column block.
   joint_next_act_.resize(B, N * act_dim_);
-  for_agents([&](std::size_t j) {
-    nn::Matrix& obs_j = scratch_[j].obs_j;
+  for (std::size_t j = 0; j < static_cast<std::size_t>(n_); ++j) {
+    nn::Matrix& obs_j = scratch_.obs_j;
     obs_j.resize(B, obs_dim_);
     for (std::size_t b = 0; b < B; ++b) {
       const auto& o = batch[b]->next_obs[j];
@@ -143,18 +129,18 @@ void MaddpgTrainer::update(Rng& rng) {
       const double* arow = aj.row_ptr(b);
       for (std::size_t c = 0; c < act_dim_; ++c) row[c] = arow[c];
     }
-  });
+  }
   joint_next_obs_.hcat_into(joint_next_act_, next_in_);
   joint_obs_.hcat_into(joint_act_, cur_in_);
 
-  for_agents([&](std::size_t i) { update_agent(static_cast<int>(i), batch); });
+  for (int i = 0; i < n_; ++i) update_agent(i, batch);
 }
 
 void MaddpgTrainer::update_agent(int i, const std::vector<const Transition*>& batch) {
   const std::size_t B = batch.size();
   const std::size_t N = static_cast<std::size_t>(n_);
   const std::size_t ii = static_cast<std::size_t>(i);
-  AgentScratch& s = scratch_[ii];
+  AgentScratch& s = scratch_;
   auto& critic = critics_[ii];
 
   // Critic i: y = r_i + γ(1−d) Q'_i(o', a').

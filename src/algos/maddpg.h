@@ -12,7 +12,6 @@
 #include "nn/optimizer.h"
 #include "nn/policy_heads.h"
 #include "rl/replay_buffer.h"
-#include "runtime/thread_pool.h"
 
 namespace hero::algos {
 
@@ -48,8 +47,7 @@ class MaddpgTrainer : public rl::Controller {
     bool done;
   };
 
-  // Per-agent update scratch: agent i's critic/actor phase only touches
-  // block i, so the per-agent loop can fan out onto pool workers.
+  // Update scratch, resized in place and reused across agents and steps.
   struct AgentScratch {
     nn::Matrix obs_j;  // agent's observation batch
     nn::Matrix target, q_grad, dq, da, mixed_in;
@@ -58,13 +56,9 @@ class MaddpgTrainer : public rl::Controller {
   std::vector<double> actor_action(int agent, const std::vector<double>& obs,
                                    Rng& rng, bool explore);
   // Agent i's critic regression + actor ascent + target soft updates for an
-  // already-assembled joint batch. No RNG; reads only the shared read-only
-  // joint matrices and writes agent-indexed state.
+  // already-assembled joint batch.
   void update_agent(int i, const std::vector<const Transition*>& batch);
   void update(Rng& rng);
-  // Runs fn(i) for every agent — on the pool when num_workers > 1
-  // (bitwise-identical results either way; see TrainConfig::num_workers).
-  void for_agents(const std::function<void(std::size_t)>& fn);
 
   sim::Scenario scenario_;
   MaddpgConfig cfg_;
@@ -84,10 +78,9 @@ class MaddpgTrainer : public rl::Controller {
   // the per-agent phase.
   nn::Matrix joint_obs_, joint_next_obs_, joint_act_, joint_next_act_;
   nn::Matrix next_in_, cur_in_;
-  std::vector<AgentScratch> scratch_;  // one per agent
+  AgentScratch scratch_;  // reused by every agent's update
   std::vector<std::size_t> act_slots_;  // act_rows scratch: active slot list
   nn::Matrix act_obs_;                  // act_rows scratch: gathered obs rows
-  std::unique_ptr<runtime::ThreadPool> pool_;  // null while num_workers <= 1
 };
 
 }  // namespace hero::algos

@@ -12,7 +12,8 @@ void HeroActEngine::act_rows(SkillBank& skills,
                              const TerminationConfig& term,
                              const rl::ObsBatch& batch,
                              HeroSession* const* sessions, Rng* const* rngs,
-                             bool explore, sim::TwistCmd* cmds_out) {
+                             bool explore, sim::TwistCmd* cmds_out,
+                             const LowLevelFill& fill_ll) {
   OBS_PHASE("act_rows");
   const std::size_t count = batch.count();
   const int n = batch.num_learners();
@@ -21,12 +22,11 @@ void HeroActEngine::act_rows(SkillBank& skills,
   const std::size_t hl_dim = batch.hl_dim();
   const std::size_t ll_dim = batch.ll_dim();
   const std::size_t opp_dim = agents.empty() ? 0 : agents[0]->opponents().feature_dim();
-  const auto idx = [n](std::size_t s, int k) {
-    return s * static_cast<std::size_t>(n) + static_cast<std::size_t>(k);
-  };
+  n_ = n;
 
   // (1) Session init / β_o termination → who re-selects this tick.
   needs_select_.assign(count * static_cast<std::size_t>(n), 0);
+  blocks_.resize(count * static_cast<std::size_t>(n), opp_dim);
   for (std::size_t s = 0; s < count; ++s) {
     const auto& meta = batch.slot(s);
     if (!meta.active) continue;
@@ -57,7 +57,11 @@ void HeroActEngine::act_rows(SkillBank& skills,
   }
 
   // (2) Option selection, agent-major (one opponent + one actor forward per
-  // agent across every slot that re-selects).
+  // agent across every slot that re-selects). Processing k ascending keeps
+  // the option board agent-major: when agent k selects, agents < k already
+  // hold this tick's choice and agents > k their previous one.
+  {
+  OBS_PHASE("select");
   for (int k = 0; k < n; ++k) {
     sel_slots_.clear();
     for (std::size_t s = 0; s < count; ++s) {
@@ -104,15 +108,21 @@ void HeroActEngine::act_rows(SkillBank& skills,
                                 : sc.lane;
       as.exec.hold_speed = sc.speed;
       sessions[s]->options[static_cast<std::size_t>(k)] = opt;
+      if (opp_dim > 0) {
+        std::copy(sel_blocks_.row_ptr(r), sel_blocks_.row_ptr(r) + opp_dim,
+                  blocks_.row_ptr(idx(s, k)));
+      }
     }
   }
   for (std::size_t s = 0; s < count; ++s) {
     if (batch.slot(s).active) sessions[s]->started = true;
   }
+  }  // OBS_PHASE("select")
 
   // (3) Skill commands: keep-lane closed-form, learned options option-major
   // with one batched policy forward each. One world step follows each tick
   // by contract, mirroring the serial act()'s ++exec.steps.
+  OBS_PHASE("skills");
   for (std::size_t s = 0; s < count; ++s) {
     if (!batch.slot(s).active) continue;
     for (int k = 0; k < n; ++k) {
@@ -145,8 +155,12 @@ void HeroActEngine::act_rows(SkillBank& skills,
       const auto& sc = batch.scalars(s, k);
       const int ref_lane =
           o == Option::kLaneChange ? as.exec.target_lane : sc.lane;
-      const double* src = batch.ll_row(s, k, ref_lane);
-      std::copy(src, src + ll_dim, sk_obs_.row_ptr(r));
+      if (fill_ll) {
+        fill_ll(s, k, ref_lane, sk_obs_.row_ptr(r));
+      } else {
+        const double* src = batch.ll_row(s, k, ref_lane);
+        std::copy(src, src + ll_dim, sk_obs_.row_ptr(r));
+      }
       sk_rngs_[r] = rngs[s];
     }
     skills.agent(o).policy().act_rows_into(sk_obs_, sk_rngs_.data(),

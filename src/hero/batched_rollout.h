@@ -4,13 +4,21 @@
 // single batch=E forward instead of E single-row dispatches
 // (docs/BATCHING.md).
 //
-// Each lane (environment slot) runs the scalar HeroAgent episode logic: the
-// same β_o termination tests, the same semi-MDP accumulation, the same
-// per-stream RNG draw sets. Draws come from the counter-based episode
-// stream stream_rng(root, episode), so a run is bitwise reproducible for a
-// fixed (seed, batch_envs) pair. Collected experience is staged per lane
-// and merged by the trainer in lane order — which IS canonical episode
-// order, so no reordering step exists to get wrong.
+// The per-tick decision itself is HeroActEngine::act_rows at explore = true,
+// with one HeroSession per lane: the same decision pass serving and batched
+// evaluation run greedily. Around it the rollout does what only training
+// needs. It senses the high-level rows and ego scalars, and builds on demand
+// only the low-level rows the engine's skill stage consumes. It stages the
+// experience from what the engine reports for each (lane, agent) that
+// re-selected: the semi-MDP transitions (R = Σγ^k·r over each option hold,
+// done = false at a β_o re-selection, done = true at episode end), the
+// one-hot opponent options on the agent-major board, and the opponent
+// labels, scored against the block the engine fed the actor. Draws come from
+// the counter-based episode stream stream_rng(root, episode), so a run is
+// bitwise reproducible for a fixed (seed, batch_envs) pair. Collected
+// experience is staged per lane and merged by the trainer in lane order —
+// which IS canonical episode order, so no reordering step exists to get
+// wrong.
 //
 // The rollout only *reads* the learner's networks (actor, opponent
 // predictors, frozen skills); all replay buffers are filled at merge time
@@ -22,7 +30,7 @@
 #include <memory>
 #include <vector>
 
-#include "hero/hero_agent.h"
+#include "hero/act_engine.h"
 #include "rl/evaluation.h"
 #include "runtime/batch_rollout.h"
 #include "sim/batch_lane_world.h"
@@ -52,6 +60,9 @@ class BatchedRollout {
   BatchedRollout(const sim::Scenario& scenario, const HighLevelConfig& high,
                  const TerminationConfig& term, SkillBank& skills,
                  std::vector<std::unique_ptr<HeroAgent>>& agents, int envs);
+  // The session pointers and the low-level fill step hold `this`.
+  BatchedRollout(const BatchedRollout&) = delete;
+  BatchedRollout& operator=(const BatchedRollout&) = delete;
 
   int envs() const { return E_; }
 
@@ -75,18 +86,16 @@ class BatchedRollout {
   sim::BatchLaneWorld& world() { return world_; }
 
  private:
-  // Per-(lane, agent) episode bookkeeping — the batched analogue of
-  // HeroAgent's exec_/pending_/opp_cache_ trio.
-  struct LaneAgent {
-    OptionExecution exec;
-    bool has_pending = false;
-    std::vector<double> pend_obs;
-    std::vector<double> pend_opp_actual;
-    int pend_option = 0;
-    double pend_reward = 0.0;
-    double pend_discount = 1.0;
-    long selections = 0;             // local ε-schedule position
-    std::vector<double> opp_cache;   // predicted block at last selection
+  // The semi-MDP transition of one (lane, agent) option hold in flight, and
+  // the opponent block its option was selected with.
+  struct Pending {
+    bool active = false;
+    std::vector<double> obs;
+    std::vector<double> opp_actual;  // one-hot board at selection
+    int option = 0;
+    double reward = 0.0;
+    double discount = 1.0;
+    std::vector<double> opp_cache;   // predicted block at selection
   };
 
   std::size_t la_index(std::size_t lane, int k) const {
@@ -99,6 +108,8 @@ class BatchedRollout {
   // options currently on the board; scores the cached predictions.
   void stage_opp_labels(std::size_t lane, int k, const double* obs_row,
                         bool observing);
+  // Stores the pending transition of (lane, k), next_obs = its hl row.
+  void store_pending(std::size_t lane, int k, bool done);
   void finish_lane(std::size_t lane, bool observing);
 
   sim::Scenario scenario_;
@@ -114,20 +125,16 @@ class BatchedRollout {
   long round_batch_steps_ = 0;
 
   std::vector<BatchedEpisode> episodes_;   // lane-indexed
-  std::vector<LaneAgent> lane_agents_;     // lane-major (la_index)
-  std::vector<int> options_;               // lane-major current options
-  std::vector<std::uint8_t> started_;      // per lane: initial selection done
-  std::vector<std::uint8_t> needs_select_; // lane-major, per batch step
+  std::vector<HeroSession> sessions_;      // lane-indexed decision state
+  std::vector<HeroSession*> session_ptrs_;
+  std::vector<Pending> pending_;           // lane-major (la_index)
+  std::vector<int> board_;                 // lane-major options before the tick
   std::vector<sim::TwistCmd> cmds_;        // lane-major learner commands
   sim::BatchStepResult step_out_;
 
-  // Batched-forward staging (resized in place, reused across steps).
-  nn::Matrix hl_obs_;                      // (E·n) × high_level_obs_dim
-  std::vector<std::size_t> sel_lanes_;     // lanes selecting for one agent
-  nn::Matrix sel_obs_, sel_blocks_, sel_in_, sel_probs_;
-  std::vector<std::pair<std::size_t, int>> sk_rows_;  // (lane, k) per option
-  nn::Matrix sk_obs_, sk_act_;
-  std::vector<Rng*> sk_rngs_;
+  rl::ObsBatch batch_;  // hl rows + ego scalars of every live (lane, agent)
+  HeroActEngine engine_;
+  HeroActEngine::LowLevelFill fill_ll_;  // senses one low-level row on demand
 };
 
 }  // namespace hero::core

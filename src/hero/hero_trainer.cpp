@@ -25,16 +25,6 @@ HeroTrainer::HeroTrainer(const sim::Scenario& scenario, const HeroConfig& cfg,
         world_.high_level_obs_dim(), n - 1, cfg_.high, cfg_.opponent,
         cfg_.skill.termination, rng));
   }
-  current_options_.assign(static_cast<std::size_t>(n),
-                          static_cast<int>(Option::kKeepLane));
-}
-
-const std::vector<int>& HeroTrainer::others_options(int k) const {
-  others_scratch_.clear();
-  for (std::size_t j = 0; j < current_options_.size(); ++j) {
-    if (static_cast<int>(j) != k) others_scratch_.push_back(current_options_[j]);
-  }
-  return others_scratch_;
 }
 
 runtime::ThreadPool& HeroTrainer::ensure_pool(std::size_t threads) {
@@ -108,8 +98,6 @@ void HeroTrainer::load(const std::string& dir) {
 void HeroTrainer::begin_episode(const sim::LaneWorld& world) {
   (void)world;
   episode_started_ = false;
-  std::fill(current_options_.begin(), current_options_.end(),
-            static_cast<int>(Option::kKeepLane));
   for (auto& a : agents_) a->reset_episode();
 }
 
@@ -122,16 +110,12 @@ std::vector<sim::TwistCmd> HeroTrainer::act(const sim::LaneWorld& world, Rng& rn
 
   for (int k = 0; k < n; ++k) {
     const int vi = world.learners()[static_cast<std::size_t>(k)];
+    auto& agent = *agents_[static_cast<std::size_t>(k)];
     if (!episode_started_) {
-      agents_[static_cast<std::size_t>(k)]->select_initial(world, vi,
-                                                           others_options(k), rng,
-                                                           explore);
+      agent.select_initial(world, vi, rng, explore);
     } else {
-      agents_[static_cast<std::size_t>(k)]->maybe_reselect(
-          world, vi, others_options(k), rng, explore, /*learning=*/false);
+      agent.maybe_reselect(world, vi, rng, explore);
     }
-    current_options_[static_cast<std::size_t>(k)] =
-        static_cast<int>(agents_[static_cast<std::size_t>(k)]->execution().option);
   }
   episode_started_ = true;
 

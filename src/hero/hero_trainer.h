@@ -62,6 +62,9 @@ class HeroTrainer : public rl::Controller {
 
   // --- rl::Controller (deployment / evaluation) ---
   void begin_episode(const sim::LaneWorld& world) override;
+  // The scalar decision, one vehicle and one network row at a time: the
+  // rl::evaluate path, and the greedy oracle that HeroActEngine — the pass
+  // behind act_rows_into, serving and stage-2 training — is tested against.
   std::vector<sim::TwistCmd> act(const sim::LaneWorld& world, Rng& rng,
                                  bool explore) override;
   // Batch-first deployment: one fused HeroActEngine pass over all active
@@ -99,14 +102,8 @@ class HeroTrainer : public rl::Controller {
   int num_agents() const { return static_cast<int>(agents_.size()); }
   sim::LaneWorld& world() { return world_; }
   const sim::Scenario& scenario() const { return scenario_; }
-  const std::vector<int>& current_options() const { return current_options_; }
 
  private:
-  // Options currently held by every learner except `k` (ascending order) —
-  // the observable option history the paper assumes. Returns a reference to
-  // a reused scratch vector, overwritten by the next call.
-  const std::vector<int>& others_options(int k) const;
-
   // act_rows_into body (the _into method must stay allocation-free; the
   // engine and session pool grow here, on first use / batch growth only).
   void batched_act(const rl::ObsBatch& batch, Rng* const* rngs, bool explore,
@@ -127,8 +124,6 @@ class HeroTrainer : public rl::Controller {
   sim::LaneWorld world_;
   SkillBank skills_;
   std::vector<std::unique_ptr<HeroAgent>> agents_;
-  std::vector<int> current_options_;
-  mutable std::vector<int> others_scratch_;
   bool episode_started_ = false;
   long total_steps_ = 0;
 

@@ -118,6 +118,8 @@ void Mlp::backward_params(const Matrix& grad_out) {
 }
 
 const Matrix& Mlp::backward_input(const Matrix& grad_out) {
+  OBS_PHASE("nn_backward");
+  count_backward(grad_out.rows());
   seed_backward(grad_out);
   for (std::size_t i = layers_.size(); i-- > 0;) {
     layers_[i]->backward_input_into(acts_[i], acts_[i + 1], grads_[i + 1], grads_[i]);

@@ -197,14 +197,11 @@ TEST(Maac, TrainsAndActs) {
   EXPECT_EQ(cmds.size(), 3u);
 }
 
-// The baselines' num_workers option parallelizes minibatch assembly and the
-// independent per-agent updates; every RNG draw happens serially in agent
-// order before the fan-out and workers write only index-addressed state, so
-// the parallel path must reproduce the serial path bit for bit.
-template <typename Trainer, typename Config>
-std::vector<double> reward_trace(const Config& cfg, unsigned seed, int episodes) {
+// Rewards of `episodes` training episodes — the bitwise fingerprint of the
+// determinism tests below.
+std::vector<double> reward_trace(const DqnConfig& cfg, unsigned seed, int episodes) {
   Rng rng(seed);
-  Trainer t(small_scenario(), cfg, rng);
+  IndependentDqnTrainer t(small_scenario(), cfg, rng);
   std::vector<double> rewards;
   t.train(episodes, rng, [&](int, const rl::EpisodeStats& s) {
     rewards.push_back(s.team_reward);
@@ -212,12 +209,15 @@ std::vector<double> reward_trace(const Config& cfg, unsigned seed, int episodes)
   return rewards;
 }
 
+// DQN's num_workers pool runs the independent per-agent updates; every RNG
+// draw happens serially in agent order before the fan-out and workers write
+// only agent-indexed state, so the parallel path must reproduce the serial
+// path bit for bit.
 TEST(IndependentDqn, ParallelUpdatesMatchSerialBitwise) {
   DqnConfig serial = fast_dqn();
   DqnConfig parallel = serial;
   parallel.num_workers = 3;
-  EXPECT_EQ((reward_trace<IndependentDqnTrainer>(serial, 42, 5)),
-            (reward_trace<IndependentDqnTrainer>(parallel, 42, 5)));
+  EXPECT_EQ(reward_trace(serial, 42, 5), reward_trace(parallel, 42, 5));
 }
 
 TEST(IndependentDqn, BatchedCollectionIsReproducibleAndOrdered) {
@@ -225,8 +225,7 @@ TEST(IndependentDqn, BatchedCollectionIsReproducibleAndOrdered) {
   // trace, and hooks fire in canonical episode order across rounds.
   DqnConfig cfg = fast_dqn();
   cfg.batch_envs = 3;
-  EXPECT_EQ((reward_trace<IndependentDqnTrainer>(cfg, 42, 5)),
-            (reward_trace<IndependentDqnTrainer>(cfg, 42, 5)));
+  EXPECT_EQ(reward_trace(cfg, 42, 5), reward_trace(cfg, 42, 5));
 
   Rng rng(43);
   IndependentDqnTrainer t(small_scenario(), cfg, rng);
@@ -237,35 +236,6 @@ TEST(IndependentDqn, BatchedCollectionIsReproducibleAndOrdered) {
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_GT(t.total_steps(), 0);
-}
-
-TEST(Maddpg, ParallelUpdatesMatchSerialBitwise) {
-  MaddpgConfig serial;
-  serial.batch = 32;
-  serial.warmup_steps = 64;
-  MaddpgConfig parallel = serial;
-  parallel.num_workers = 3;
-  EXPECT_EQ((reward_trace<MaddpgTrainer>(serial, 42, 4)),
-            (reward_trace<MaddpgTrainer>(parallel, 42, 4)));
-}
-
-TEST(Coma, ParallelAssemblyMatchesSerialBitwise) {
-  ComaConfig serial;
-  ComaConfig parallel = serial;
-  parallel.num_workers = 3;
-  EXPECT_EQ((reward_trace<ComaTrainer>(serial, 42, 4)),
-            (reward_trace<ComaTrainer>(parallel, 42, 4)));
-}
-
-TEST(Maac, ParallelAssemblyMatchesSerialBitwise) {
-  MaacConfig serial;
-  serial.batch = 16;
-  serial.warmup_steps = 32;
-  serial.embed_dim = 16;
-  MaacConfig parallel = serial;
-  parallel.num_workers = 3;
-  EXPECT_EQ((reward_trace<MaacTrainer>(serial, 42, 3)),
-            (reward_trace<MaacTrainer>(parallel, 42, 3)));
 }
 
 // Determinism: identical seeds must reproduce identical training traces.

@@ -1,5 +1,5 @@
 // Tests for HERO's learning components: the opponent model, the high-level
-// actor–critic, and the per-agent semi-MDP bookkeeping.
+// actor–critic, and the per-agent option selection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -216,58 +216,6 @@ sim::LaneWorld coop_world() {
   return sim::LaneWorld(sim::cooperative_lane_change().config);
 }
 
-TEST(HeroAgent, SemiMdpRewardAccumulation) {
-  Rng rng(11);
-  auto world = coop_world();
-  world.reset(rng);
-  HighLevelConfig cfg = fast_high();
-  cfg.gamma = 0.9;
-  HeroAgent agent(world.high_level_obs_dim(), 2, cfg, OpponentModelConfig{},
-                  TerminationConfig{}, rng);
-
-  agent.select_initial(world, 0, {0, 0}, rng, /*explore=*/true);
-  agent.accumulate(1.0);
-  agent.accumulate(2.0);
-  agent.accumulate(4.0);
-  agent.finalize_episode(world, 0, /*learning=*/true);
-
-  ASSERT_EQ(agent.high_level().buffered(), 1u);
-  const auto& t = agent.high_level().buffer().at(0);
-  // R = 1 + 0.9·2 + 0.81·4 = 6.04; γ^c = 0.9³.
-  EXPECT_NEAR(t.reward, 6.04, 1e-12);
-  EXPECT_NEAR(t.gamma_pow, 0.9 * 0.9 * 0.9, 1e-12);
-  EXPECT_TRUE(t.done);
-}
-
-TEST(HeroAgent, StoresActualOpponentOptionsOneHot) {
-  Rng rng(12);
-  auto world = coop_world();
-  world.reset(rng);
-  HeroAgent agent(world.high_level_obs_dim(), 2, fast_high(), OpponentModelConfig{},
-                  TerminationConfig{}, rng);
-  agent.select_initial(world, 0, {1, 3}, rng, true);
-  agent.finalize_episode(world, 0, true);
-  const auto& t = agent.high_level().buffer().at(0);
-  ASSERT_EQ(t.opp_actual.size(), 2u * kNumOptions);
-  EXPECT_DOUBLE_EQ(t.opp_actual[1], 1.0);                 // opponent 0 = option 1
-  EXPECT_DOUBLE_EQ(t.opp_actual[kNumOptions + 3], 1.0);   // opponent 1 = option 3
-  double s = 0;
-  for (double v : t.opp_actual) s += v;
-  EXPECT_DOUBLE_EQ(s, 2.0);
-}
-
-TEST(HeroAgent, NoStorageWhenLearningDisabled) {
-  Rng rng(13);
-  auto world = coop_world();
-  world.reset(rng);
-  HeroAgent agent(world.high_level_obs_dim(), 2, fast_high(), OpponentModelConfig{},
-                  TerminationConfig{}, rng);
-  agent.select_initial(world, 0, {0, 0}, rng, false);
-  agent.accumulate(1.0);
-  agent.finalize_episode(world, 0, /*learning=*/false);
-  EXPECT_EQ(agent.high_level().buffered(), 0u);
-}
-
 TEST(HeroAgent, LaneChangeTargetsOtherLane) {
   Rng rng(14);
   auto world = coop_world();
@@ -277,7 +225,7 @@ TEST(HeroAgent, LaneChangeTargetsOtherLane) {
   // Force a lane-change selection by trying until it happens (ε start 0.5).
   bool saw_change = false;
   for (int i = 0; i < 200 && !saw_change; ++i) {
-    agent.select_initial(world, 1, {0, 0}, rng, true);
+    agent.select_initial(world, 1, rng, true);
     if (agent.execution().option == Option::kLaneChange) {
       saw_change = true;
       // Vehicle 1 (the merger) starts in lane 0 → target must be lane 1.
@@ -285,29 +233,6 @@ TEST(HeroAgent, LaneChangeTargetsOtherLane) {
     }
   }
   EXPECT_TRUE(saw_change);
-}
-
-TEST(HeroAgent, ReselectionFinalizesPendingTransition) {
-  Rng rng(15);
-  auto world = coop_world();
-  world.reset(rng);
-  TerminationConfig term;
-  term.in_lane_duration = 1;  // every option ends after one step
-  HighLevelConfig cfg = fast_high();
-  HeroAgent agent(world.high_level_obs_dim(), 2, cfg, OpponentModelConfig{}, term,
-                  rng);
-  agent.select_initial(world, 0, {0, 0}, rng, true);
-  // Simulate: option ran for 1 step.
-  agent.execution().steps = 1;
-  agent.accumulate(0.5);
-  const bool reselected =
-      agent.execution().option == Option::kLaneChange
-          ? false  // lane change terminates by geometry, not duration
-          : agent.maybe_reselect(world, 0, {0, 0}, rng, true, true);
-  if (reselected) {
-    EXPECT_EQ(agent.high_level().buffered(), 1u);
-    EXPECT_FALSE(agent.high_level().buffer().at(0).done);
-  }
 }
 
 // The high-level update's hot path replaced per-row predict_all_into calls

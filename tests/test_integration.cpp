@@ -337,6 +337,139 @@ TEST(HeroBatched, HooksFireInCanonicalEpisodeOrder) {
   }
 }
 
+// One exploring episode of `sc` through a width-1 BatchedRollout over the
+// trainer's model (episode stream 0 of root 7).
+core::BatchedEpisode rollout_episode(core::HeroTrainer& trainer,
+                                     const sim::Scenario& sc, bool observing) {
+  const auto& cfg = trainer.config();
+  core::BatchedRollout rollout(sc, cfg.high, cfg.skill.termination,
+                               trainer.skills(), trainer.agents(), 1);
+  rollout.run_round(/*root=*/7, /*first=*/0, /*count=*/1, observing);
+  return rollout.episode(0);
+}
+
+TEST(HeroBatched, SemiMdpTransitionsAccumulateDiscountedReward) {
+  // α = 0 with shared travel gives every learner the same reward r_t per
+  // step, so team_reward after T steps is r_0 + … + r_{T−1}; episodes of
+  // 1, 2 and 3 steps share the episode stream and differ only in `done`,
+  // which recovers each r_t. Options all end after 2 steps.
+  auto base = sim::cooperative_lane_change();
+  base.config.alpha = 0.0;
+  base.config.shared_travel = true;
+  auto cfg = fast_hero();
+  cfg.high.gamma = 0.9;
+  cfg.skill.termination.synchronous = true;
+  cfg.skill.termination.in_lane_duration = 2;
+  Rng rng(51);
+  core::HeroTrainer trainer(base, cfg, rng);
+
+  std::vector<double> team;
+  core::BatchedEpisode ep;
+  for (int steps = 1; steps <= 3; ++steps) {
+    auto sc = base;
+    sc.config.max_steps = steps;
+    ep = rollout_episode(trainer, sc, /*observing=*/false);
+    ASSERT_EQ(ep.stats.steps, steps);
+    team.push_back(ep.stats.team_reward);
+  }
+  const double g = cfg.high.gamma;
+  const double r0 = team[0], r1 = team[1] - team[0], r2 = team[2] - team[1];
+  ASSERT_GT(r0, 0.0);
+  for (int k = 0; k < trainer.num_agents(); ++k) {
+    const auto& ts = ep.high[static_cast<std::size_t>(k)];
+    ASSERT_EQ(ts.size(), 2u);
+    // Steps 0–1, closed by the β_o re-selection: R = r_0 + γ·r_1, γ^c = γ².
+    EXPECT_NEAR(ts[0].reward, r0 + g * r1, 1e-9);
+    EXPECT_NEAR(ts[0].gamma_pow, g * g, 1e-12);
+    EXPECT_FALSE(ts[0].done);
+    EXPECT_EQ(ts[0].next_obs, ts[1].obs);
+    // Step 2, closed by the episode end: R = r_2, γ^c = γ.
+    EXPECT_NEAR(ts[1].reward, r2, 1e-9);
+    EXPECT_NEAR(ts[1].gamma_pow, g, 1e-12);
+    EXPECT_TRUE(ts[1].done);
+  }
+  EXPECT_EQ(ep.switches, trainer.num_agents());
+}
+
+TEST(HeroBatched, OneHotOpponentOptionsFollowTheAgentMajorBoard) {
+  // Every option ends after one step, so transition t of each agent starts
+  // at step t. When agent k selects, agents j < k already hold this step's
+  // option and agents j > k the previous one (keep-lane before the first).
+  auto cfg = fast_hero();
+  cfg.skill.termination.synchronous = true;
+  cfg.skill.termination.in_lane_duration = 1;
+  Rng rng(53);
+  const auto sc = sim::cooperative_lane_change();
+  core::HeroTrainer trainer(sc, cfg, rng);
+  const auto ep = rollout_episode(trainer, sc, /*observing=*/false);
+  const int n = trainer.num_agents();
+  const std::size_t steps = static_cast<std::size_t>(ep.stats.steps);
+  ASSERT_GT(steps, 1u);
+  for (int k = 0; k < n; ++k) {
+    const auto& ts = ep.high[static_cast<std::size_t>(k)];
+    ASSERT_EQ(ts.size(), steps);
+    for (std::size_t t = 0; t < steps; ++t) {
+      ASSERT_EQ(ts[t].opp_actual.size(),
+                static_cast<std::size_t>(n - 1) * core::kNumOptions);
+      std::size_t slot = 0;
+      for (int j = 0; j < n; ++j) {
+        if (j == k) continue;
+        const auto& tj = ep.high[static_cast<std::size_t>(j)];
+        const int held = j < k    ? tj[t].option
+                         : t == 0 ? static_cast<int>(core::Option::kKeepLane)
+                                  : tj[t - 1].option;
+        for (int o = 0; o < core::kNumOptions; ++o) {
+          EXPECT_EQ(ts[t].opp_actual[slot * core::kNumOptions +
+                                     static_cast<std::size_t>(o)],
+                    o == held ? 1.0 : 0.0)
+              << "agent " << k << " step " << t << " opponent " << j;
+        }
+        // The label of step t is the option opponent j held during it.
+        EXPECT_EQ(ep.opp[static_cast<std::size_t>(k * (n - 1)) + slot][t].option,
+                  tj[t].option);
+        ++slot;
+      }
+    }
+  }
+}
+
+TEST(HeroBatched, OpponentScoreboardScoresEveryLabel) {
+  // Observed rollouts score each opponent label of every step against the
+  // block cached at selection: steps·n·(n−1) predictions per episode.
+  for (const bool use_opp : {true, false}) {
+    auto cfg = fast_hero();
+    cfg.high.use_opponent_model = use_opp;
+    Rng rng(55);
+    const auto sc = sim::cooperative_lane_change();
+    core::HeroTrainer trainer(sc, cfg, rng);
+    const long n = trainer.num_agents();
+    const auto ep = rollout_episode(trainer, sc, /*observing=*/true);
+    if (use_opp) {
+      EXPECT_EQ(ep.opp_total, ep.stats.steps * n * (n - 1));
+      EXPECT_GE(ep.opp_correct, 0);
+      EXPECT_LE(ep.opp_correct, ep.opp_total);
+    } else {
+      EXPECT_EQ(ep.opp_total, 0);
+    }
+    EXPECT_EQ(rollout_episode(trainer, sc, /*observing=*/false).opp_total, 0);
+
+    // The trainer reports the scoreboard as the accuracy gauge.
+    obs::Registry::instance().reset_values();
+    obs::set_metrics_enabled(true);
+    trainer.train(3, rng);
+    obs::set_metrics_enabled(false);
+    const double acc =
+        obs::Registry::instance().gauge("hero.stage2.opponent_accuracy").value();
+    EXPECT_GE(acc, 0.0);
+    EXPECT_LE(acc, 1.0);
+    if (!use_opp) {
+      EXPECT_EQ(acc, 0.0);
+    }
+    obs::Registry::instance().reset_values();
+    obs::AlertEngine::instance().reset();
+  }
+}
+
 // Steps `trainer` and `restored` greedily through one identical episode and
 // expects identical commands.
 void expect_same_greedy_episode(core::HeroTrainer& trainer,

@@ -14,6 +14,8 @@
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
+#include "obs/metrics.h"
+#include "obs/phase.h"
 
 namespace hero::nn {
 namespace {
@@ -84,6 +86,40 @@ TEST(Matrix, XavierWithinBound) {
   for (std::size_t i = 0; i < w.size(); ++i) {
     EXPECT_LE(std::abs(w.data()[i]), bound);
   }
+}
+
+// ------------------------------------------------------- instrumentation --
+
+// Every backward variant is one nn_backward phase entry and one
+// nn.backward_calls / nn.backward_rows count, so the per-layer ledger sees
+// the input-only critic backwards of SAC, DDPG and MADDPG too.
+TEST(MlpInstrumentation, EveryBackwardVariantIsCountedAndTimed) {
+  Rng rng(2);
+  Mlp net(4, {8}, 1, rng);
+  const Matrix x = Matrix::xavier(5, 4, rng);
+  const Matrix grad(5, 1, 1.0);
+  auto& reg = obs::Registry::instance();
+  reg.reset_values();
+  obs::PhaseRegistry::instance().reset();
+  obs::set_metrics_enabled(true);
+  obs::set_phases_enabled(true);
+  net.forward(x);
+  net.backward(grad);
+  net.forward(x);
+  net.backward_params(grad);
+  net.forward(x);
+  net.backward_input(grad);
+  obs::set_phases_enabled(false);
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(reg.counter("nn.backward_calls").value(), 3);
+  EXPECT_EQ(reg.counter("nn.backward_rows").value(), 15);
+  std::uint64_t entries = 0;
+  for (const auto& p : obs::PhaseRegistry::instance().snapshot()) {
+    if (p.name == "nn_backward") entries += p.count;
+  }
+  EXPECT_EQ(entries, 3u);
+  reg.reset_values();
+  obs::PhaseRegistry::instance().reset();
 }
 
 // ------------------------------------------------------- gradient checks --
