@@ -1,10 +1,12 @@
 // Tests for HERO's learning components: the opponent model, the high-level
-// actor–critic, and the per-agent option selection.
+// actor–critic, the per-agent option selection, and the semi-MDP transitions
+// the batched rollout stores for each agent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "hero/hero_agent.h"
+#include "hero/hero_trainer.h"
 #include "sim/scenario.h"
 
 namespace hero::core {
@@ -233,6 +235,79 @@ TEST(HeroAgent, LaneChangeTargetsOtherLane) {
     }
   }
   EXPECT_TRUE(saw_change);
+}
+
+// Three exploring width-1 BatchedRollout episodes of the cooperative lane
+// change, of 1, 2 and 3 steps, on one episode stream, with every option
+// ending after 2 steps. α = 0 with shared travel gives every learner the same
+// reward r_t per step, so team_reward after T steps is r_0 + … + r_{T−1}; the
+// episodes differ only in `done`, which recovers each r_t.
+struct SemiMdpRun {
+  double gamma = 0.0;
+  int agents = 0;
+  std::vector<double> r;  // r_0, r_1, r_2
+  BatchedEpisode ep;      // the 3-step episode
+};
+
+SemiMdpRun semi_mdp_run() {
+  auto base = sim::cooperative_lane_change();
+  base.config.alpha = 0.0;
+  base.config.shared_travel = true;
+  HeroConfig cfg;
+  cfg.high.gamma = 0.9;
+  cfg.skill.termination.synchronous = true;
+  cfg.skill.termination.in_lane_duration = 2;
+  Rng rng(51);
+  HeroTrainer trainer(base, cfg, rng);
+
+  SemiMdpRun run;
+  run.gamma = cfg.high.gamma;
+  run.agents = trainer.num_agents();
+  double prev = 0.0;
+  for (int steps = 1; steps <= 3; ++steps) {
+    auto sc = base;
+    sc.config.max_steps = steps;
+    BatchedRollout rollout(sc, cfg.high, cfg.skill.termination, trainer.skills(),
+                           trainer.agents(), 1);
+    rollout.run_round(/*root=*/7, /*first=*/0, /*count=*/1, /*observing=*/false);
+    run.ep = rollout.episode(0);
+    EXPECT_EQ(run.ep.stats.steps, steps);
+    run.r.push_back(run.ep.stats.team_reward - prev);
+    prev = run.ep.stats.team_reward;
+  }
+  return run;
+}
+
+TEST(HeroAgent, SemiMdpRewardAccumulation) {
+  const auto run = semi_mdp_run();
+  const double g = run.gamma;
+  ASSERT_EQ(run.r.size(), 3u);
+  ASSERT_GT(run.r[0], 0.0);
+  ASSERT_EQ(run.ep.high.size(), static_cast<std::size_t>(run.agents));
+  for (const auto& ts : run.ep.high) {
+    ASSERT_EQ(ts.size(), 2u);
+    // Steps 0–1: R = r_0 + γ·r_1, γ^c = γ².
+    EXPECT_NEAR(ts[0].reward, run.r[0] + g * run.r[1], 1e-9);
+    EXPECT_NEAR(ts[0].gamma_pow, g * g, 1e-12);
+    // Step 2: R = r_2, γ^c = γ.
+    EXPECT_NEAR(ts[1].reward, run.r[2], 1e-9);
+    EXPECT_NEAR(ts[1].gamma_pow, g, 1e-12);
+  }
+}
+
+TEST(HeroAgent, ReselectionFinalizesPendingTransition) {
+  const auto run = semi_mdp_run();
+  ASSERT_EQ(run.ep.high.size(), static_cast<std::size_t>(run.agents));
+  for (const auto& ts : run.ep.high) {
+    ASSERT_EQ(ts.size(), 2u);
+    // The β_o re-selection after step 1 closes the first option's transition
+    // without ending the episode, and the next one starts where it stopped.
+    EXPECT_FALSE(ts[0].done);
+    EXPECT_EQ(ts[0].next_obs, ts[1].obs);
+    // The episode end closes the second.
+    EXPECT_TRUE(ts[1].done);
+  }
+  EXPECT_EQ(run.ep.switches, run.agents);
 }
 
 // The high-level update's hot path replaced per-row predict_all_into calls

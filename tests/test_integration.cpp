@@ -348,49 +348,6 @@ core::BatchedEpisode rollout_episode(core::HeroTrainer& trainer,
   return rollout.episode(0);
 }
 
-TEST(HeroBatched, SemiMdpTransitionsAccumulateDiscountedReward) {
-  // α = 0 with shared travel gives every learner the same reward r_t per
-  // step, so team_reward after T steps is r_0 + … + r_{T−1}; episodes of
-  // 1, 2 and 3 steps share the episode stream and differ only in `done`,
-  // which recovers each r_t. Options all end after 2 steps.
-  auto base = sim::cooperative_lane_change();
-  base.config.alpha = 0.0;
-  base.config.shared_travel = true;
-  auto cfg = fast_hero();
-  cfg.high.gamma = 0.9;
-  cfg.skill.termination.synchronous = true;
-  cfg.skill.termination.in_lane_duration = 2;
-  Rng rng(51);
-  core::HeroTrainer trainer(base, cfg, rng);
-
-  std::vector<double> team;
-  core::BatchedEpisode ep;
-  for (int steps = 1; steps <= 3; ++steps) {
-    auto sc = base;
-    sc.config.max_steps = steps;
-    ep = rollout_episode(trainer, sc, /*observing=*/false);
-    ASSERT_EQ(ep.stats.steps, steps);
-    team.push_back(ep.stats.team_reward);
-  }
-  const double g = cfg.high.gamma;
-  const double r0 = team[0], r1 = team[1] - team[0], r2 = team[2] - team[1];
-  ASSERT_GT(r0, 0.0);
-  for (int k = 0; k < trainer.num_agents(); ++k) {
-    const auto& ts = ep.high[static_cast<std::size_t>(k)];
-    ASSERT_EQ(ts.size(), 2u);
-    // Steps 0–1, closed by the β_o re-selection: R = r_0 + γ·r_1, γ^c = γ².
-    EXPECT_NEAR(ts[0].reward, r0 + g * r1, 1e-9);
-    EXPECT_NEAR(ts[0].gamma_pow, g * g, 1e-12);
-    EXPECT_FALSE(ts[0].done);
-    EXPECT_EQ(ts[0].next_obs, ts[1].obs);
-    // Step 2, closed by the episode end: R = r_2, γ^c = γ.
-    EXPECT_NEAR(ts[1].reward, r2, 1e-9);
-    EXPECT_NEAR(ts[1].gamma_pow, g, 1e-12);
-    EXPECT_TRUE(ts[1].done);
-  }
-  EXPECT_EQ(ep.switches, trainer.num_agents());
-}
-
 TEST(HeroBatched, OneHotOpponentOptionsFollowTheAgentMajorBoard) {
   // Every option ends after one step, so transition t of each agent starts
   // at step t. When agent k selects, agents j < k already hold this step's
