@@ -31,8 +31,11 @@ void fill_high_level(core::HighLevelAgent& agent, core::OpponentModel& opponents
                      std::size_t obs_dim, int num_opponents, Rng& rng) {
   for (int i = 0; i < 512; ++i) {
     std::vector<double> obs = uniform_obs(obs_dim, rng);
-    opponents.observe(i % num_opponents, obs,
-                      core::option_from_index(i % core::kNumOptions));
+    std::vector<core::Option> labels;
+    for (int j = 0; j < num_opponents; ++j) {
+      labels.push_back(core::option_from_index((i + j) % core::kNumOptions));
+    }
+    opponents.observe(obs, labels);
     agent.store({obs,
                  std::vector<double>(static_cast<std::size_t>(num_opponents) *
                                          core::kNumOptions,
@@ -44,8 +47,11 @@ void fill_high_level(core::HighLevelAgent& agent, core::OpponentModel& opponents
 void fill_opponent(core::OpponentModel& opponents, std::size_t obs_dim, int labels,
                    Rng& rng) {
   for (int i = 0; i < labels; ++i) {
-    opponents.observe(0, uniform_obs(obs_dim, rng),
-                      core::option_from_index(i % core::kNumOptions));
+    std::vector<core::Option> options;
+    for (int j = 0; j < opponents.num_opponents(); ++j) {
+      options.push_back(core::option_from_index((i + j) % core::kNumOptions));
+    }
+    opponents.observe(uniform_obs(obs_dim, rng), options);
   }
 }
 

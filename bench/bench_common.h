@@ -59,11 +59,11 @@ void print_series(const std::string& label, const std::vector<double>& series,
 // `transitions` SAC transitions (8-dim observations, actions inside the
 // agent's bounds).
 void fill_sac(algos::SacAgent& agent, int transitions, Rng& rng);
-// 512 option transitions for the high-level learner and labels for each of
-// its `num_opponents` opponent predictors.
+// 512 option transitions for the high-level learner, each observation also
+// labelling every one of its `num_opponents` opponent predictors.
 void fill_high_level(core::HighLevelAgent& agent, core::OpponentModel& opponents,
                      std::size_t obs_dim, int num_opponents, Rng& rng);
-// `labels` labelled observations for opponent predictor 0.
+// `labels` observations, each labelling every opponent predictor.
 void fill_opponent(core::OpponentModel& opponents, std::size_t obs_dim, int labels,
                    Rng& rng);
 

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -193,14 +194,36 @@ std::vector<BenchResult> run_nn_cases(double min_time) {
   }
 
   {
-    // One opponent-predictor step at dense_stage2's shape: 34 → 32 → 4,
-    // batch 64.
+    // One opponent-predictor step, 34 → 32 → 4 at batch 64, repeated on the
+    // same network in a hot loop: tens of thousands of updates on one
+    // predictor, far past any training run's cadence.
     Rng rng(1);
     const std::size_t obs_dim = 34;
     core::OpponentModel opponents(obs_dim, 1, core::OpponentModelConfig{}, rng);
     bench::fill_opponent(opponents, obs_dim, 512, rng);
     out.push_back(time_case("BM_OpponentUpdate", min_time,
                             [&] { opponents.update(0, rng); }));
+  }
+
+  {
+    // dense_stage2's opponent layer: 24 agents, each with 23 predictors
+    // 26 → 32 → 4, built fresh and stepped through update_all. One
+    // iteration is 552 predictor updates; at the default --min-time each
+    // predictor takes a few dozen updates, near the ~18 of a dense_stage2
+    // run, so the row times the working set of many cold networks rather
+    // than one hot one.
+    Rng rng(1);
+    const std::size_t obs_dim = 26;
+    const int agents = 24;
+    std::vector<std::unique_ptr<core::OpponentModel>> models;
+    for (int k = 0; k < agents; ++k) {
+      models.push_back(std::make_unique<core::OpponentModel>(
+          obs_dim, agents - 1, core::OpponentModelConfig{}, rng));
+      bench::fill_opponent(*models.back(), obs_dim, 512, rng);
+    }
+    out.push_back(time_case("BM_OpponentUpdateAll/24x23", min_time, [&] {
+      for (auto& m : models) m->update_all(rng);
+    }));
   }
 
   for (std::size_t batch : {std::size_t{128}, std::size_t{1024}}) {

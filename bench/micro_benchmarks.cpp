@@ -136,7 +136,9 @@ static void BM_HighLevelUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_HighLevelUpdate);
 
-// One opponent-predictor step at dense_stage2's shape: 34 → 32 → 4, batch 64.
+// One opponent-predictor step, 34 → 32 → 4 at batch 64, on one network in a
+// hot loop (dense_stage2's predictors are 26 → 32 → 4; bench_json's
+// BM_OpponentUpdateAll/24x23 times them at their training cadence).
 static void BM_OpponentUpdate(benchmark::State& state) {
   Rng rng(1);
   const std::size_t obs_dim = 34;

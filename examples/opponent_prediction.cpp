@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
         std::max_element(p.begin(), p.end()) - p.begin();
     acc_avg.add(argmax == static_cast<long>(label) ? 1.0 : 0.0);
 
-    model.observe(0, obs, label);
+    model.observe(obs, {label});
     const double loss = model.update(0, rng);
     if (loss > 0.0) loss_avg.add(loss);
 

@@ -131,8 +131,7 @@ void ComaTrainer::update_from_episode(const std::vector<StepRecord>& episode,
 
     auto& actor = actors_[static_cast<std::size_t>(i)];
     const nn::Matrix& logits = actor.net().forward(obs_m_);
-    nn::softmax_into(logits, probs_);
-    nn::log_softmax_into(logits, logp_);
+    nn::softmax_log_softmax_into(logits, probs_, logp_);
 
     // Advantage A_t = Q(a_taken) − Σ_a π(a) Q(a); loss = −A·log π(a_taken)
     // − β·H(π). Gradient w.r.t. logits assembled directly.

@@ -121,8 +121,7 @@ void MaacTrainer::update(Rng& rng) {
     nl.resize(B);
     fill_actor_in(j, /*next=*/true);
     const nn::Matrix& logits = actor_.net().forward(actor_in_);
-    nn::log_softmax_into(logits, logp_);
-    nn::softmax_into(logits, probs_);
+    nn::softmax_log_softmax_into(logits, probs_, logp_);
     for (std::size_t b = 0; b < B; ++b) {
       // Inverse-CDF draw straight off the probability row (no row copy).
       const double* p = probs_.row_ptr(b);
@@ -214,8 +213,7 @@ void MaacTrainer::update(Rng& rng) {
 
     fill_actor_in(i, /*next=*/false);
     const nn::Matrix& logits = actor_.net().forward(actor_in_);
-    nn::softmax_into(logits, probs_);
-    nn::log_softmax_into(logits, logp_);
+    nn::softmax_log_softmax_into(logits, probs_, logp_);
     dlogits_.resize(B, A);
     const double inv = 1.0 / static_cast<double>(B * N);
     for (std::size_t b = 0; b < B; ++b) {

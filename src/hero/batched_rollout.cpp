@@ -30,7 +30,7 @@ BatchedRollout::BatchedRollout(const sim::Scenario& scenario,
   board_.assign(slots, static_cast<int>(Option::kKeepLane));
   cmds_.assign(slots, sim::TwistCmd{});
   batch_.configure(n_, world_.high_level_obs_dim(), world_.low_level_obs_dim(),
-                   world_.track().num_lanes());
+                   world_.track().num_lanes(), /*low_level_rows=*/false);
   fill_ll_ = [this](std::size_t lane, int k, int ref_lane, double* dst) {
     world_.low_level_obs_into(static_cast<int>(lane),
                               world_.learners()[static_cast<std::size_t>(k)],
@@ -49,9 +49,11 @@ void BatchedRollout::begin_lane(std::size_t lane) {
   ep.selections.assign(static_cast<std::size_t>(n_), 0);
   ep.high.resize(static_cast<std::size_t>(n_));
   for (auto& v : ep.high) v.clear();
-  ep.opp.resize(static_cast<std::size_t>(n_) *
-                static_cast<std::size_t>(std::max(n_ - 1, 0)));
-  for (auto& v : ep.opp) v.clear();
+  ep.opp.resize(static_cast<std::size_t>(n_));
+  for (auto& labels : ep.opp) {
+    labels.obs.clear();
+    labels.options.clear();
+  }
 
   // A fresh session explores from the learner's round-start ε-schedule
   // position, so the trajectory of episode e cannot depend on which lanes
@@ -84,14 +86,15 @@ void BatchedRollout::run_round(std::uint64_t root, std::size_t first,
 
 void BatchedRollout::stage_opp_labels(std::size_t lane, int k,
                                       const double* obs_row, bool observing) {
+  if (n_ < 2) return;
   BatchedEpisode& ep = episodes_[lane];
   const Pending& p = pending_[la_index(lane, k)];
   const std::vector<int>& options = sessions_[lane].options;
-  const std::size_t hl_dim = world_.high_level_obs_dim();
-  const std::size_t opp_dim =
-      static_cast<std::size_t>(std::max(n_ - 1, 0)) * kNumOptions;
+  const std::size_t opp_dim = static_cast<std::size_t>(n_ - 1) * kNumOptions;
   const bool score =
       observing && high_cfg_.use_opponent_model && p.opp_cache.size() == opp_dim;
+  auto& labels = ep.opp[static_cast<std::size_t>(k)];
+  labels.obs.insert(labels.obs.end(), obs_row, obs_row + world_.high_level_obs_dim());
   std::size_t slot = 0;
   for (int j = 0; j < n_; ++j) {
     if (j == k) continue;
@@ -104,8 +107,7 @@ void BatchedRollout::stage_opp_labels(std::size_t lane, int k,
       ++ep.opp_total;
       if (pred == actual) ++ep.opp_correct;
     }
-    ep.opp[static_cast<std::size_t>(k) * static_cast<std::size_t>(n_ - 1) + slot]
-        .push_back({std::vector<double>(obs_row, obs_row + hl_dim), actual});
+    labels.options.push_back(actual);
     ++slot;
   }
 }

@@ -49,8 +49,15 @@ struct BatchedEpisode {
   std::vector<long> selections;
   // Per agent: semi-MDP transitions in store order (FIFO).
   std::vector<std::vector<OptionTransition>> high;
-  // Per (agent k, opponent slot j) at index k·(n−1)+j: labels in step order.
-  std::vector<std::vector<OpponentModel::Sample>> opp;
+  // One agent's opponent labels in step order: row t of `obs` (hl_dim
+  // values) is the agent's observation after step t, and
+  // options[t·(n−1) + j] the option opponent slot j held during it. Each
+  // observation is staged once for all n−1 opponents.
+  struct OpponentLabels {
+    std::vector<double> obs;
+    std::vector<int> options;
+  };
+  std::vector<OpponentLabels> opp;  // per agent
 };
 
 class BatchedRollout {
@@ -104,8 +111,8 @@ class BatchedRollout {
 
   void begin_lane(std::size_t lane);
   void step_once(bool observing);
-  // Stages the opponent labels implied by the obs row of (lane, k) and the
-  // options currently on the board; scores the cached predictions.
+  // Stages the obs row of (lane, k) once with the option every opponent
+  // currently holds; scores the cached predictions.
   void stage_opp_labels(std::size_t lane, int k, const double* obs_row,
                         bool observing);
   // Stores the pending transition of (lane, k), next_obs = its hl row.
@@ -132,7 +139,9 @@ class BatchedRollout {
   std::vector<sim::TwistCmd> cmds_;        // lane-major learner commands
   sim::BatchStepResult step_out_;
 
-  rl::ObsBatch batch_;  // hl rows + ego scalars of every live (lane, agent)
+  // hl rows + ego scalars of every live (lane, agent); no low-level rows,
+  // which fill_ll_ senses on demand.
+  rl::ObsBatch batch_;
   HeroActEngine engine_;
   HeroActEngine::LowLevelFill fill_ll_;  // senses one low-level row on demand
 };

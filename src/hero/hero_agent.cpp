@@ -56,13 +56,12 @@ AgentUpdateStats HeroAgent::update(Rng& rng) {
   {
     OBS_SPAN("stage2/update/opponent");
     OBS_PHASE("opponent_update");
-    const auto losses = opponents_->update_all(rng);
-    for (std::size_t j = 0; j < losses.size(); ++j) {
-      if (!opponents_->ready(static_cast<int>(j))) continue;
-      stats.opponent_loss += losses[j];
-      ++stats.opponent_updates;
+    const auto& losses = opponents_->update_all(rng);
+    if (opponents_->ready()) {
+      for (const double loss : losses) stats.opponent_loss += loss;
+      stats.opponent_updates = static_cast<int>(losses.size());
+      if (stats.opponent_updates > 0) stats.opponent_loss /= stats.opponent_updates;
     }
-    if (stats.opponent_updates > 0) stats.opponent_loss /= stats.opponent_updates;
   }
   stats.high = high_->update(*opponents_, rng);
   return stats;

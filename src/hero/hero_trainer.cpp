@@ -256,10 +256,12 @@ void HeroTrainer::train(int episodes, Rng& rng, const algos::EpisodeHook& hook) 
     {
       OBS_SPAN("runtime/learn");
       OBS_PHASE("learn");
-      // Merge in lane order == canonical episode order: replay stores
-      // agent-major FIFO, opponent labels (agent, opponent)-major FIFO.
+      // Merge in lane order == canonical episode order: replay stores and
+      // opponent labels agent-major FIFO.
       {
         OBS_PHASE("merge");
+        const std::size_t hl_dim = world_.high_level_obs_dim();
+        const std::size_t m = static_cast<std::size_t>(std::max(n - 1, 0));
         for (std::size_t e = 0; e < round; ++e) {
           BatchedEpisode& col = batched_->episode(e);
           for (int k = 0; k < n; ++k) {
@@ -268,13 +270,9 @@ void HeroTrainer::train(int episodes, Rng& rng, const algos::EpisodeHook& hook) 
               hl.store(std::move(t));
             }
             auto& om = agents_[static_cast<std::size_t>(k)]->opponents();
-            for (int j = 0; j < n - 1; ++j) {
-              auto& samples =
-                  col.opp[static_cast<std::size_t>(k) * static_cast<std::size_t>(n - 1) +
-                          static_cast<std::size_t>(j)];
-              for (auto& s : samples) {
-                om.observe(j, std::move(s.obs), option_from_index(s.option));
-              }
+            const auto& labels = col.opp[static_cast<std::size_t>(k)];
+            for (std::size_t t = 0; t * m < labels.options.size(); ++t) {
+              om.observe(labels.obs.data() + t * hl_dim, labels.options.data() + t * m);
             }
             hl.set_selections(hl.selections() +
                               col.selections[static_cast<std::size_t>(k)]);

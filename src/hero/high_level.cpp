@@ -184,8 +184,7 @@ HighLevelUpdateStats HighLevelAgent::update(OpponentModel& opponents, Rng& rng) 
     }
     const nn::Matrix& q_all = critic_.forward(q_in_);
     const nn::Matrix& logits = actor_.net().forward(actor_in_);
-    nn::softmax_into(logits, probs_);
-    nn::log_softmax_into(logits, logp_);
+    nn::softmax_log_softmax_into(logits, probs_, logp_);
 
     const double inv_b = 1.0 / static_cast<double>(B);
     dlogits_.resize(B, kNumOptions);

@@ -10,19 +10,19 @@ namespace hero::core {
 
 OpponentModel::OpponentModel(std::size_t obs_dim, int num_opponents,
                              const OpponentModelConfig& cfg, Rng& rng)
-    : cfg_(cfg) {
+    : cfg_(cfg), obs_dim_(obs_dim) {
   HERO_CHECK(num_opponents >= 0);
+  HERO_CHECK(cfg_.buffer_capacity > 0);
   for (int j = 0; j < num_opponents; ++j) {
     nets_.emplace_back(obs_dim, cfg_.hidden, kNumOptions, rng);
     opts_.push_back(std::make_unique<nn::Adam>(nets_.back().params(), cfg_.lr));
-    buffers_.emplace_back(cfg_.buffer_capacity);
     losses_.emplace_back();
   }
+  for (std::size_t j = 1; j < nets_.size(); ++j) nets_[j].share_workspace(nets_[0]);
 }
 
 void OpponentModel::predict_into(int j, const std::vector<double>& obs, double* out) {
-  auto& buffer = buffers_[static_cast<std::size_t>(j)];
-  if (!trained_ && buffer.size() < cfg_.min_samples) {
+  if (!prediction_ready()) {
     for (int a = 0; a < kNumOptions; ++a) out[a] = 1.0 / kNumOptions;
     return;
   }
@@ -65,8 +65,7 @@ void OpponentModel::predict_all_rows(const nn::Matrix& obs_rows, nn::Matrix& out
   out.resize(B, std::max<std::size_t>(feature_dim(), 1));
   for (int j = 0; j < num_opponents(); ++j) {
     const std::size_t off = static_cast<std::size_t>(j) * kNumOptions;
-    auto& buffer = buffers_[static_cast<std::size_t>(j)];
-    if (!trained_ && buffer.size() < cfg_.min_samples) {
+    if (!prediction_ready()) {
       for (std::size_t b = 0; b < B; ++b) {
         double* row = out.row_ptr(b) + off;
         for (int a = 0; a < kNumOptions; ++a) row[a] = 1.0 / kNumOptions;
@@ -90,33 +89,55 @@ void OpponentModel::predict_all_rows(const nn::Matrix& obs_rows, nn::Matrix& out
   }
 }
 
-void OpponentModel::observe(int j, std::vector<double> obs, Option option) {
-  buffers_[static_cast<std::size_t>(j)].add(
-      {std::move(obs), static_cast<int>(option)});
+void OpponentModel::observe(const double* obs, const int* options) {
+  const std::size_t m = nets_.size();
+  if (m == 0) return;
+  if (size_ < cfg_.buffer_capacity) {
+    store_obs_.insert(store_obs_.end(), obs, obs + obs_dim_);
+    store_options_.resize(store_options_.size() + m);
+    ++size_;
+  } else {
+    std::copy(obs, obs + obs_dim_, store_obs_.data() + write_ * obs_dim_);
+  }
+  std::uint8_t* row = store_options_.data() + write_ * m;
+  for (std::size_t j = 0; j < m; ++j) {
+    HERO_DCHECK(options[j] >= 0 && options[j] < kNumOptions);
+    row[j] = static_cast<std::uint8_t>(options[j]);
+  }
+  write_ = (write_ + 1) % cfg_.buffer_capacity;
+}
+
+void OpponentModel::observe(const std::vector<double>& obs,
+                            const std::vector<Option>& options) {
+  HERO_CHECK(obs.size() == obs_dim_ && options.size() == nets_.size());
+  std::vector<int> labels(options.size());
+  for (std::size_t j = 0; j < options.size(); ++j) labels[j] = static_cast<int>(options[j]);
+  observe(obs.data(), labels.data());
 }
 
 double OpponentModel::update(int j, Rng& rng) {
-  auto& buffer = buffers_[static_cast<std::size_t>(j)];
-  if (buffer.size() < cfg_.min_samples) return 0.0;
-  auto batch = buffer.sample(cfg_.batch, rng);
-  const std::size_t B = batch.size();
-
-  auto& net = nets_[static_cast<std::size_t>(j)];
-  obs_m_.resize(B, net.in_dim());
+  if (size_ < cfg_.min_samples) return 0.0;
+  HERO_CHECK(size_ > 0);
+  const std::size_t B = cfg_.batch;
+  const std::size_t m = nets_.size();
+  const std::size_t jj = static_cast<std::size_t>(j);
+  obs_m_.resize(B, obs_dim_);
   labels_.resize(B);
   for (std::size_t b = 0; b < B; ++b) {
-    const Sample& s = *batch[b];
-    std::copy(s.obs.begin(), s.obs.end(), obs_m_.row_ptr(b));
-    labels_[b] = static_cast<std::size_t>(s.option);
+    const std::size_t r = rng.index(size_);
+    const double* src = store_obs_.data() + r * obs_dim_;
+    std::copy(src, src + obs_dim_, obs_m_.row_ptr(b));
+    labels_[b] = store_options_[r * m + jj];
   }
 
-  const nn::Matrix& logits = net.forward(obs_m_);
-  const double ce_loss = nn::softmax_cross_entropy_into(logits, labels_, nullptr, ce_grad_);
+  // One exp per logit and one log per row feed the cross-entropy gradient,
+  // the probabilities and the log-probabilities.
+  auto& net = nets_[jj];
+  const double ce_loss = nn::softmax_cross_entropy_into(net.forward(obs_m_), labels_,
+                                                        nullptr, ce_grad_, &probs_, &logp_);
 
   // Entropy regularization: loss −= λ·H(π̂);
   // d(−H)/dlogit_c = p_c (log p_c + H).
-  nn::softmax_into(logits, probs_);
-  nn::log_softmax_into(logits, logp_);
   const double inv_b = 1.0 / static_cast<double>(B);
   double mean_entropy = 0.0;
   for (std::size_t b = 0; b < B; ++b) {
@@ -135,17 +156,18 @@ double OpponentModel::update(int j, Rng& rng) {
   net.zero_grad();
   net.backward_params(ce_grad_);
   net.clip_grad_norm(10.0);
-  opts_[static_cast<std::size_t>(j)]->step();
-  losses_[static_cast<std::size_t>(j)].push_back(loss);
+  opts_[jj]->step();
+  losses_[jj].push_back(loss);
   trained_ = true;
   return loss;
 }
 
-std::vector<double> OpponentModel::update_all(Rng& rng) {
-  std::vector<double> out;
-  out.reserve(nets_.size());
-  for (int j = 0; j < num_opponents(); ++j) out.push_back(update(j, rng));
-  return out;
+const std::vector<double>& OpponentModel::update_all(Rng& rng) {
+  last_losses_.resize(nets_.size());
+  for (int j = 0; j < num_opponents(); ++j) {
+    last_losses_[static_cast<std::size_t>(j)] = update(j, rng);
+  }
+  return last_losses_;
 }
 
 }  // namespace hero::core

@@ -11,13 +11,13 @@
 // distributed training).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "hero/options.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
-#include "rl/replay_buffer.h"
 
 namespace hero::core {
 
@@ -30,6 +30,11 @@ struct OpponentModelConfig {
   std::vector<std::size_t> hidden = {32};
 };
 
+// The n−1 predictors of one agent run as one group: they share one
+// activation/gradient workspace (they are stepped one after another, never
+// two passes at once) and one observation store, in which each observation
+// is kept once with the option every opponent held (docs/PERFORMANCE.md,
+// "Workspace reuse").
 class OpponentModel {
  public:
   OpponentModel(std::size_t obs_dim, int num_opponents,
@@ -60,22 +65,19 @@ class OpponentModel {
     return nets_.size() * static_cast<std::size_t>(kNumOptions);
   }
 
-  // One observed (own obs, opponent j's current option) pair. Public so the
-  // batched rollout can stage a lane's labels for the trainer's merge
-  // (hero/batched_rollout.h).
-  struct Sample {
-    std::vector<double> obs;
-    int option;
-  };
-
-  // Records one observed (own obs, opponent j's current option) pair.
-  void observe(int j, std::vector<double> obs, Option option);
+  // Records one own observation (obs_dim values) with the option each
+  // opponent held: options[j] is opponent slot j's (num_opponents() values).
+  // The store keeps the observation once for all predictors.
+  void observe(const double* obs, const int* options);
+  void observe(const std::vector<double>& obs, const std::vector<Option>& options);
 
   // One gradient step on opponent j's predictor; returns the loss (NaN-free;
-  // 0 when below min_samples). update_all() steps every predictor and
-  // appends to the per-opponent loss history (the Fig. 10 curves).
+  // 0 when below min_samples). update_all() steps every predictor in slot
+  // order, each drawing its minibatch from `rng` in turn, and returns their
+  // losses (valid until the next update_all). Both append to the
+  // per-opponent loss history (the Fig. 10 curves).
   double update(int j, Rng& rng);
-  std::vector<double> update_all(Rng& rng);
+  const std::vector<double>& update_all(Rng& rng);
 
   const std::vector<std::vector<double>>& loss_history() const { return losses_; }
 
@@ -89,27 +91,32 @@ class OpponentModel {
   bool trained() const { return trained_; }
 
   // True once predict() consults the networks rather than the uniform
-  // prior. All per-opponent buffers fill in lockstep (every opponent is
-  // observed each step), so one flag describes the whole model.
-  bool prediction_ready() const {
-    return trained_ ||
-           (!buffers_.empty() && buffers_[0].size() >= cfg_.min_samples);
-  }
+  // prior.
+  bool prediction_ready() const { return trained_ || ready(); }
 
-  // Number of labeled samples collected for opponent j.
-  std::size_t samples(int j) const { return buffers_[static_cast<std::size_t>(j)].size(); }
-  // True once predictor j has enough samples for update() to take a step.
-  bool ready(int j) const {
-    return buffers_[static_cast<std::size_t>(j)].size() >= cfg_.min_samples;
-  }
+  // Number of labeled observations stored (each labels every opponent).
+  std::size_t samples() const { return size_; }
+  // True once update() takes a step: every predictor learns from the same
+  // store, so one flag describes the whole model.
+  bool ready() const { return !nets_.empty() && size_ >= cfg_.min_samples; }
 
  private:
   OpponentModelConfig cfg_;
+  std::size_t obs_dim_ = 0;
   bool trained_ = false;
-  std::vector<nn::Mlp> nets_;
+  std::vector<nn::Mlp> nets_;  // one workspace shared by all
   std::vector<std::unique_ptr<nn::Adam>> opts_;
-  std::vector<rl::ReplayBuffer<Sample>> buffers_;
   std::vector<std::vector<double>> losses_;  // per opponent, per update
+  std::vector<double> last_losses_;          // update_all's result
+
+  // Observation store: row r of store_obs_ (obs_dim_ values) was observed
+  // with store_options_[r·num_opponents() + j] for opponent slot j. Rows
+  // fill in arrival order up to buffer_capacity and then overwrite the
+  // oldest first; each predictor samples rows uniformly with replacement.
+  std::vector<double> store_obs_;
+  std::vector<std::uint8_t> store_options_;
+  std::size_t size_ = 0;
+  std::size_t write_ = 0;
 
   // Prediction/update scratch (resized in place).
   nn::Matrix obs_row_, obs_m_, ce_grad_, probs_, logp_;

@@ -81,6 +81,28 @@ void log_softmax_into(const Matrix& logits, Matrix& out) {
   }
 }
 
+void softmax_log_softmax_into(const Matrix& logits, Matrix& probs, Matrix& logp) {
+  probs.resize(logits.rows(), logits.cols());
+  logp.resize(logits.rows(), logits.cols());
+  for (std::size_t i = 0; i < logits.rows(); ++i) {
+    const double* lrow = logits.row_ptr(i);
+    double* prow = probs.row_ptr(i);
+    double* lprow = logp.row_ptr(i);
+    double mx = lrow[0];
+    for (std::size_t j = 1; j < logits.cols(); ++j) mx = std::max(mx, lrow[j]);
+    double z = 0.0;
+    for (std::size_t j = 0; j < logits.cols(); ++j) {
+      prow[j] = std::exp(lrow[j] - mx);
+      z += prow[j];
+    }
+    const double logz = mx + std::log(z);
+    for (std::size_t j = 0; j < logits.cols(); ++j) {
+      prow[j] /= z;
+      lprow[j] = lrow[j] - logz;
+    }
+  }
+}
+
 Matrix softmax(const Matrix& logits) {
   Matrix out;
   softmax_into(logits, out);
@@ -104,11 +126,14 @@ std::vector<double> softmax_entropy(const Matrix& logits) {
 
 double softmax_cross_entropy_into(const Matrix& logits,
                                   const std::vector<std::size_t>& targets,
-                                  const std::vector<double>* weights, Matrix& grad) {
+                                  const std::vector<double>* weights, Matrix& grad,
+                                  Matrix* probs, Matrix* logp) {
   HERO_CHECK(targets.size() == logits.rows());
   if (weights) HERO_CHECK(weights->size() == logits.rows());
   const double inv_n = 1.0 / static_cast<double>(logits.rows());
   grad.resize(logits.rows(), logits.cols());
+  if (probs) probs->resize(logits.rows(), logits.cols());
+  if (logp) logp->resize(logits.rows(), logits.cols());
   double loss = 0.0;
   for (std::size_t i = 0; i < logits.rows(); ++i) {
     HERO_CHECK(targets[i] < logits.cols());
@@ -125,6 +150,14 @@ double softmax_cross_entropy_into(const Matrix& logits,
     }
     const double logz = mx + std::log(z);
     loss += -w * (lrow[targets[i]] - logz);
+    if (probs) {
+      double* prow = probs->row_ptr(i);
+      for (std::size_t j = 0; j < logits.cols(); ++j) prow[j] = grow[j] / z;
+    }
+    if (logp) {
+      double* lprow = logp->row_ptr(i);
+      for (std::size_t j = 0; j < logits.cols(); ++j) lprow[j] = lrow[j] - logz;
+    }
     const double inv_z = 1.0 / z;
     for (std::size_t j = 0; j < logits.cols(); ++j) grow[j] *= w * inv_z * inv_n;
     grow[targets[i]] -= w * inv_n;

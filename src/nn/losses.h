@@ -33,9 +33,13 @@ LossResult mse_loss_selected(const Matrix& pred, const std::vector<std::size_t>&
 
 // Softmax cross-entropy with integer class targets; grad is w.r.t. logits.
 // `weights` optionally rescales each row's contribution (e.g. importance).
+// `probs` and `logp`, when given, receive softmax(logits) and
+// log_softmax(logits) from the same exps and logs, bitwise those of
+// softmax_into and log_softmax_into.
 double softmax_cross_entropy_into(const Matrix& logits,
                                   const std::vector<std::size_t>& targets,
-                                  const std::vector<double>* weights, Matrix& grad);
+                                  const std::vector<double>* weights, Matrix& grad,
+                                  Matrix* probs = nullptr, Matrix* logp = nullptr);
 LossResult softmax_cross_entropy(const Matrix& logits,
                                  const std::vector<std::size_t>& targets,
                                  const std::vector<double>* weights = nullptr);
@@ -45,6 +49,9 @@ void softmax_into(const Matrix& logits, Matrix& out);
 void log_softmax_into(const Matrix& logits, Matrix& out);
 Matrix softmax(const Matrix& logits);
 Matrix log_softmax(const Matrix& logits);
+// Both at once from one exp per logit and one log per row; `probs` and
+// `logp` are bitwise those of softmax_into and log_softmax_into.
+void softmax_log_softmax_into(const Matrix& logits, Matrix& probs, Matrix& logp);
 
 // Row-wise entropy of softmax(logits).
 std::vector<double> softmax_entropy(const Matrix& logits);

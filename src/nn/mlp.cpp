@@ -58,10 +58,19 @@ Mlp& Mlp::operator=(const Mlp& other) {
   layers_.clear();
   layers_.reserve(other.layers_.size());
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
-  acts_.clear();
-  grads_.clear();
+  ws_.reset();
   param_cache_.clear();
   return *this;
+}
+
+Mlp::Workspace& Mlp::ws() {
+  if (!ws_) ws_ = std::make_shared<Workspace>();
+  return *ws_;
+}
+
+void Mlp::share_workspace(Mlp& other) {
+  other.ws();
+  ws_ = other.ws_;
 }
 
 const Matrix& Mlp::forward(const Matrix& x) {
@@ -71,13 +80,16 @@ const Matrix& Mlp::forward(const Matrix& x) {
                   "Mlp::forward: input dim " << x.cols() << " != " << in_dim());
   HERO_DCHECK_FINITE(x, "Mlp::forward input");
   count_forward(x.rows());
-  if (acts_.size() != layers_.size() + 1) acts_.resize(layers_.size() + 1);
-  acts_[0].copy_from(x);
+  Workspace& w = ws();
+  w.owner = this;
+  auto& acts = w.acts;
+  if (acts.size() != layers_.size() + 1) acts.resize(layers_.size() + 1);
+  acts[0].copy_from(x);
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i]->forward_into(acts_[i], acts_[i + 1]);
+    layers_[i]->forward_into(acts[i], acts[i + 1]);
   }
-  HERO_DCHECK_FINITE(acts_.back(), "Mlp::forward output");
-  return acts_.back();
+  HERO_DCHECK_FINITE(acts.back(), "Mlp::forward output");
+  return acts.back();
 }
 
 std::vector<double> Mlp::forward1(const std::vector<double>& x) {
@@ -86,45 +98,50 @@ std::vector<double> Mlp::forward1(const std::vector<double>& x) {
   return forward(in_row_).row_vec(0);
 }
 
-void Mlp::seed_backward(const Matrix& grad_out) {
+Mlp::Workspace& Mlp::seed_backward(const Matrix& grad_out) {
   HERO_CHECK(!layers_.empty());
-  HERO_CHECK_MSG(acts_.size() == layers_.size() + 1,
+  HERO_CHECK_MSG(ws_ && ws_->acts.size() == layers_.size() + 1,
                  "Mlp backward called before forward");
-  HERO_CHECK(grad_out.same_shape(acts_.back()));
+  Workspace& w = *ws_;
+  HERO_DCHECK_MSG(ws_.use_count() == 1 || w.owner == this,
+                  "Mlp backward after a forward on another network sharing its workspace");
+  HERO_CHECK(grad_out.same_shape(w.acts.back()));
   HERO_DCHECK_FINITE(grad_out, "Mlp::backward grad_out");
-  if (grads_.size() != acts_.size()) grads_.resize(acts_.size());
-  grads_.back().copy_from(grad_out);
+  if (w.grads.size() != w.acts.size()) w.grads.resize(w.acts.size());
+  w.grads.back().copy_from(grad_out);
+  return w;
 }
 
 const Matrix& Mlp::backward(const Matrix& grad_out) {
   OBS_PHASE("nn_backward");
   count_backward(grad_out.rows());
-  seed_backward(grad_out);
+  Workspace& w = seed_backward(grad_out);
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    layers_[i]->backward_into(acts_[i], acts_[i + 1], grads_[i + 1], grads_[i]);
+    layers_[i]->backward_into(w.acts[i], w.acts[i + 1], w.grads[i + 1], w.grads[i]);
   }
-  HERO_DCHECK_FINITE(grads_.front(), "Mlp::backward grad_in");
-  return grads_.front();
+  HERO_DCHECK_FINITE(w.grads.front(), "Mlp::backward grad_in");
+  return w.grads.front();
 }
 
 void Mlp::backward_params(const Matrix& grad_out) {
   OBS_PHASE("nn_backward");
   count_backward(grad_out.rows());
-  seed_backward(grad_out);
+  Workspace& w = seed_backward(grad_out);
   for (std::size_t i = layers_.size(); i-- > 1;) {
-    layers_[i]->backward_into(acts_[i], acts_[i + 1], grads_[i + 1], grads_[i]);
+    layers_[i]->backward_into(w.acts[i], w.acts[i + 1], w.grads[i + 1], w.grads[i]);
   }
-  layers_[0]->backward_params_into(acts_[0], acts_[1], grads_[1]);
+  layers_[0]->backward_params_into(w.acts[0], w.acts[1], w.grads[1]);
 }
 
 const Matrix& Mlp::backward_input(const Matrix& grad_out) {
   OBS_PHASE("nn_backward");
   count_backward(grad_out.rows());
-  seed_backward(grad_out);
+  Workspace& w = seed_backward(grad_out);
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    layers_[i]->backward_input_into(acts_[i], acts_[i + 1], grads_[i + 1], grads_[i]);
+    layers_[i]->backward_input_into(w.acts[i], w.acts[i + 1], w.grads[i + 1],
+                                    w.grads[i]);
   }
-  return grads_.front();
+  return w.grads.front();
 }
 
 const std::vector<ParamRef>& Mlp::params() {

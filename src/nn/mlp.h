@@ -1,11 +1,12 @@
 // Multi-layer perceptron: the workhorse network of every policy and critic
 // in this reproduction (the paper uses hidden width 32 throughout).
 //
-// The network owns a reusable Workspace: one activation buffer per layer
+// The network runs in a reusable Workspace: one activation buffer per layer
 // boundary plus matching gradient buffers. forward()/backward() return
 // references INTO that workspace — valid until the next forward()/backward()
-// on the same network. Copy the result if you need it to survive another
-// pass (assigning to a `Matrix` value does exactly that). With stable batch
+// on the same network, or on any network sharing its workspace
+// (share_workspace). Copy the result if you need it to survive another pass
+// (assigning to a `Matrix` value does exactly that). With stable batch
 // shapes, steady-state forward/backward perform zero heap allocations (see
 // docs/PERFORMANCE.md for the full contract).
 #pragma once
@@ -27,6 +28,7 @@ class Mlp {
   Mlp(std::size_t in, const std::vector<std::size_t>& hidden, std::size_t out, Rng& rng,
       Activation act = Activation::kReLU, Activation out_act = Activation::kIdentity);
 
+  // A copy gets a workspace of its own, even if `other` shares one.
   Mlp(const Mlp& other);
   Mlp& operator=(const Mlp& other);
   Mlp(Mlp&&) = default;
@@ -78,18 +80,33 @@ class Mlp {
   std::vector<std::size_t> layer_dims() const;
   bool empty() const { return layers_.empty(); }
 
+  // Runs this network's passes in `other`'s workspace from now on. Networks
+  // that never hold two live passes at once (a group of same-shape
+  // predictors stepped one after another) thereby keep one set of buffers
+  // instead of one each; a pass on any of them invalidates the references
+  // returned by all.
+  void share_workspace(Mlp& other);
+
  private:
+  // acts[0] holds the (copied) input, acts[i+1] the output of layer i;
+  // grads mirrors acts with dL/d(activation). All buffers are resized in
+  // place, so capacity is reused across iterations. `owner` is the network
+  // whose forward filled acts last (checked by backward in debug builds
+  // when the workspace is shared).
+  struct Workspace {
+    std::vector<Matrix> acts;
+    std::vector<Matrix> grads;
+    const Mlp* owner = nullptr;
+  };
+  Workspace& ws();
+
   // Shape checks shared by the backward sweeps; copies grad_out into the
-  // workspace slot of the output activation.
-  void seed_backward(const Matrix& grad_out);
+  // workspace slot of the output activation and returns the workspace.
+  Workspace& seed_backward(const Matrix& grad_out);
 
   std::vector<std::unique_ptr<Layer>> layers_;
 
-  // Workspace: acts_[0] holds the (copied) input, acts_[i+1] the output of
-  // layer i; grads_ mirrors acts_ with dL/d(activation). All buffers are
-  // resized in place, so capacity is reused across iterations.
-  std::vector<Matrix> acts_;
-  std::vector<Matrix> grads_;
+  std::shared_ptr<Workspace> ws_;  // created by the first pass unless shared
   Matrix in_row_;  // forward1 scratch
 
   std::vector<ParamRef> param_cache_;

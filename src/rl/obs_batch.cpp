@@ -7,12 +7,14 @@
 namespace hero::rl {
 
 void ObsBatch::configure(int num_learners, std::size_t hl_dim, std::size_t ll_dim,
-                         int num_lanes) {
+                         int num_lanes, bool low_level_rows) {
   HERO_CHECK(num_learners > 0 && num_lanes > 0);
   n_ = num_learners;
   hl_dim_ = hl_dim;
   ll_dim_ = ll_dim;
   num_lanes_ = num_lanes;
+  low_level_rows_ = low_level_rows;
+  if (!low_level_rows_) ll_ = nn::Matrix();
   count_ = 0;
 }
 
@@ -22,18 +24,20 @@ void ObsBatch::set_count(std::size_t count) {
   metas_.assign(count, SlotMeta{});
   scalars_.resize(count * static_cast<std::size_t>(n_));
   hl_.resize(count * static_cast<std::size_t>(n_), hl_dim_);
-  ll_.resize(count * static_cast<std::size_t>(n_) * static_cast<std::size_t>(num_lanes_),
-             ll_dim_);
+  if (low_level_rows_) {
+    ll_.resize(count * static_cast<std::size_t>(n_) * static_cast<std::size_t>(num_lanes_),
+               ll_dim_);
+  }
 }
 
 double* ObsBatch::ll_row(std::size_t s, int k, int reference_lane) {
-  HERO_DCHECK(reference_lane >= 0 && reference_lane < num_lanes_);
+  HERO_DCHECK(low_level_rows_ && reference_lane >= 0 && reference_lane < num_lanes_);
   return ll_.row_ptr(agent_index(s, k) * static_cast<std::size_t>(num_lanes_) +
                      static_cast<std::size_t>(reference_lane));
 }
 
 const double* ObsBatch::ll_row(std::size_t s, int k, int reference_lane) const {
-  HERO_DCHECK(reference_lane >= 0 && reference_lane < num_lanes_);
+  HERO_DCHECK(low_level_rows_ && reference_lane >= 0 && reference_lane < num_lanes_);
   return ll_.row_ptr(agent_index(s, k) * static_cast<std::size_t>(num_lanes_) +
                      static_cast<std::size_t>(reference_lane));
 }

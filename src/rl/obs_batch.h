@@ -52,9 +52,11 @@ class ObsBatch {
   };
 
   // Fixes the per-agent feature geometry. Must be called before set_count;
-  // re-configuring with identical dims is a no-op.
+  // re-configuring with identical dims is a no-op. Without `low_level_rows`
+  // the batch stores no low-level rows (ll_row must not be called): for a
+  // consumer that senses them on demand, such as the training rollout.
   void configure(int num_learners, std::size_t hl_dim, std::size_t ll_dim,
-                 int num_lanes);
+                 int num_lanes, bool low_level_rows = true);
   // Sets the number of slots for this tick (storage grows in place and is
   // reused across ticks). Resets every slot's meta to {reset=false,
   // active=true, world=nullptr}; feature rows keep their previous contents
@@ -97,12 +99,13 @@ class ObsBatch {
   std::size_t hl_dim_ = 0;
   std::size_t ll_dim_ = 0;
   int num_lanes_ = 0;
+  bool low_level_rows_ = true;
   std::size_t count_ = 0;
 
   std::vector<SlotMeta> metas_;
   std::vector<AgentScalars> scalars_;
   nn::Matrix hl_;  // (count·n) × hl_dim
-  nn::Matrix ll_;  // (count·n·num_lanes) × ll_dim
+  nn::Matrix ll_;  // (count·n·num_lanes) × ll_dim, or empty
 };
 
 }  // namespace hero::rl

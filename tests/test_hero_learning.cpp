@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "hero/hero_agent.h"
+#include "nn/losses.h"
+#include "rl/replay_buffer.h"
 #include "hero/hero_trainer.h"
 #include "sim/scenario.h"
 
@@ -32,8 +35,7 @@ TEST(OpponentModel, LearnsDeterministicRule) {
   // Rule: obs[0] > 0 → kLaneChange, else kSlowDown.
   for (int i = 0; i < 600; ++i) {
     const double x = rng.uniform(-1.0, 1.0);
-    model.observe(0, {x, 0.5},
-                  x > 0 ? Option::kLaneChange : Option::kSlowDown);
+    model.observe({x, 0.5}, {x > 0 ? Option::kLaneChange : Option::kSlowDown});
     model.update(0, rng);
   }
   auto p_pos = model.predict(0, {0.8, 0.5});
@@ -49,7 +51,7 @@ TEST(OpponentModel, LossDecreasesOverTraining) {
   OpponentModel model(2, 1, cfg, rng);
   for (int i = 0; i < 500; ++i) {
     const double x = rng.uniform(-1.0, 1.0);
-    model.observe(0, {x, 0.0}, x > 0 ? Option::kAccelerate : Option::kKeepLane);
+    model.observe({x, 0.0}, {x > 0 ? Option::kAccelerate : Option::kKeepLane});
     model.update(0, rng);
   }
   const auto& hist = model.loss_history()[0];
@@ -84,8 +86,8 @@ TEST(OpponentModel, EntropyRegularizationKeepsPredictionsSoft) {
   OpponentModel m_sharp(1, 1, sharp, rng);
   OpponentModel m_soft(1, 1, soft, rng);
   for (int i = 0; i < 800; ++i) {
-    m_sharp.observe(0, {0.5}, Option::kLaneChange);
-    m_soft.observe(0, {0.5}, Option::kLaneChange);
+    m_sharp.observe({0.5}, {Option::kLaneChange});
+    m_soft.observe({0.5}, {Option::kLaneChange});
     m_sharp.update(0, rng);
     m_soft.update(0, rng);
   }
@@ -93,6 +95,137 @@ TEST(OpponentModel, EntropyRegularizationKeepsPredictionsSoft) {
   const double p_soft = m_soft.predict(0, {0.5})[static_cast<int>(Option::kLaneChange)];
   EXPECT_GT(p_sharp, p_soft);
   EXPECT_LT(p_soft, 0.95);
+}
+
+// The grouped model (one shared workspace, one observation store, one-pass
+// loss) against independent predictors that each keep their own workspace,
+// replay buffer and Adam state and use the three separate loss helpers —
+// the model as it was built before the group. Losses, predictions and
+// parameters must agree bitwise; predict_all_rows at changing row counts
+// between updates reshapes the shared workspace.
+TEST(OpponentModel, GroupMatchesIndependentPredictorsBitwise) {
+  const std::size_t obs_dim = 5;
+  const int m = 3;
+  const std::size_t C = kNumOptions;
+  OpponentModelConfig cfg;
+  cfg.min_samples = 12;
+  cfg.batch = 10;
+  cfg.buffer_capacity = 30;  // the store wraps during the run
+  // Large enough that the entropy term reaches the gradient's low bits.
+  cfg.entropy_lambda = 0.3;
+  cfg.hidden = {8};
+  Rng init_a(31), init_b(31);
+  OpponentModel model(obs_dim, m, cfg, init_a);
+
+  struct Sample {
+    std::vector<double> obs;
+    int option;
+  };
+  std::vector<nn::Mlp> nets;
+  std::vector<std::unique_ptr<nn::Adam>> opts;
+  std::vector<rl::ReplayBuffer<Sample>> buffers;
+  for (int j = 0; j < m; ++j) {
+    nets.emplace_back(obs_dim, cfg.hidden, kNumOptions, init_b);
+    opts.push_back(std::make_unique<nn::Adam>(nets.back().params(), cfg.lr));
+    buffers.emplace_back(cfg.buffer_capacity);
+  }
+  nn::Matrix obs_m, ce_grad, probs, logp;
+  std::vector<std::size_t> labels;
+  auto reference_update = [&](int j, Rng& rng) {
+    auto& buffer = buffers[static_cast<std::size_t>(j)];
+    if (buffer.size() < cfg.min_samples) return 0.0;
+    auto batch = buffer.sample(cfg.batch, rng);
+    const std::size_t B = batch.size();
+    auto& net = nets[static_cast<std::size_t>(j)];
+    obs_m.resize(B, obs_dim);
+    labels.resize(B);
+    for (std::size_t b = 0; b < B; ++b) {
+      std::copy(batch[b]->obs.begin(), batch[b]->obs.end(), obs_m.row_ptr(b));
+      labels[b] = static_cast<std::size_t>(batch[b]->option);
+    }
+    const nn::Matrix& logits = net.forward(obs_m);
+    const double ce = nn::softmax_cross_entropy_into(logits, labels, nullptr, ce_grad);
+    nn::softmax_into(logits, probs);
+    nn::log_softmax_into(logits, logp);
+    const double inv_b = 1.0 / static_cast<double>(B);
+    double mean_entropy = 0.0;
+    for (std::size_t b = 0; b < B; ++b) {
+      double h = 0.0;
+      for (std::size_t c = 0; c < C; ++c) h -= probs(b, c) * logp(b, c);
+      mean_entropy += h * inv_b;
+      for (std::size_t c = 0; c < C; ++c) {
+        ce_grad(b, c) += cfg.entropy_lambda * probs(b, c) * (logp(b, c) + h) * inv_b;
+      }
+    }
+    net.zero_grad();
+    net.backward_params(ce_grad);
+    net.clip_grad_norm(10.0);
+    opts[static_cast<std::size_t>(j)]->step();
+    return ce - cfg.entropy_lambda * mean_entropy;
+  };
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+
+  Rng data(41), rng_model(43), rng_ref(43);
+  int checked_updates = 0;
+  for (int step = 0; step < 24; ++step) {
+    // A few labelled observations per step, then one update of every
+    // predictor.
+    for (int i = 0; i < 4; ++i) {
+      std::vector<double> obs(obs_dim);
+      for (double& x : obs) x = data.uniform(-1.0, 1.0);
+      std::vector<Option> options;
+      for (int j = 0; j < m; ++j) {
+        const int o = obs[static_cast<std::size_t>(j)] > 0.0 ? j : (j + 2) % kNumOptions;
+        options.push_back(option_from_index(data.uniform(0.0, 1.0) < 0.8 ? o : 3));
+        buffers[static_cast<std::size_t>(j)].add(
+            {obs, static_cast<int>(options.back())});
+      }
+      model.observe(obs, options);
+    }
+    const std::vector<double> losses = model.update_all(rng_model);
+    ASSERT_EQ(losses.size(), static_cast<std::size_t>(m));
+    for (int j = 0; j < m; ++j) {
+      const double ref = reference_update(j, rng_ref);
+      EXPECT_TRUE(same_bits(losses[static_cast<std::size_t>(j)], ref))
+          << "step " << step << " predictor " << j << ": "
+          << losses[static_cast<std::size_t>(j)] << " vs " << ref;
+      if (ref != 0.0) ++checked_updates;
+    }
+
+    // Predictions at a row count that changes every step.
+    const std::size_t rows = 1 + static_cast<std::size_t>(step * 7) % 19;
+    nn::Matrix x(rows, obs_dim);
+    for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = data.uniform(-1.0, 1.0);
+    nn::Matrix block;
+    model.predict_all_rows(x, block);
+    if (!model.prediction_ready()) continue;
+    for (int j = 0; j < m; ++j) {
+      nn::softmax_into(nets[static_cast<std::size_t>(j)].forward(x), probs);
+      for (std::size_t b = 0; b < rows; ++b) {
+        for (std::size_t c = 0; c < C; ++c) {
+          EXPECT_TRUE(same_bits(block(b, static_cast<std::size_t>(j) * C + c),
+                                probs(b, c)))
+              << "step " << step << " predictor " << j << " row " << b;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked_updates, 3 * 15);
+  EXPECT_EQ(model.samples(), cfg.buffer_capacity);
+  for (int j = 0; j < m; ++j) {
+    const auto& got = model.net(j).params();
+    const auto& want = nets[static_cast<std::size_t>(j)].params();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t p = 0; p < got.size(); ++p) {
+      ASSERT_TRUE(got[p].value->same_shape(*want[p].value));
+      EXPECT_EQ(std::memcmp(got[p].value->data(), want[p].value->data(),
+                            got[p].value->size() * sizeof(double)),
+                0)
+          << "predictor " << j << " parameter " << p;
+    }
+  }
 }
 
 // ------------------------------------------------------ HighLevelAgent ----
@@ -352,8 +485,8 @@ TEST(OpponentModel, BatchedRowsMatchPerRowPredictions) {
   Rng data(5);
   for (int i = 0; i < 200; ++i) {
     const double x = data.uniform(-1.0, 1.0);
-    model.observe(0, {x, 0.0, 0.5}, x > 0 ? Option::kLaneChange : Option::kSlowDown);
-    model.observe(1, {x, 0.0, 0.5}, x > 0 ? Option::kAccelerate : Option::kKeepLane);
+    model.observe({x, 0.0, 0.5}, {x > 0 ? Option::kLaneChange : Option::kSlowDown,
+                                  x > 0 ? Option::kAccelerate : Option::kKeepLane});
     model.update_all(data);
   }
   check_batch_matches("trained");

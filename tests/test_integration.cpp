@@ -333,7 +333,7 @@ TEST(HeroBatched, HooksFireInCanonicalEpisodeOrder) {
   EXPECT_EQ(episodes, want);
   for (int k = 0; k < trainer.num_agents(); ++k) {
     EXPECT_GT(trainer.agent(k).high_level().buffered(), 0u);
-    EXPECT_GT(trainer.agent(k).opponents().samples(0), 0u);
+    EXPECT_GT(trainer.agent(k).opponents().samples(), 0u);
   }
 }
 
@@ -382,7 +382,8 @@ TEST(HeroBatched, OneHotOpponentOptionsFollowTheAgentMajorBoard) {
               << "agent " << k << " step " << t << " opponent " << j;
         }
         // The label of step t is the option opponent j held during it.
-        EXPECT_EQ(ep.opp[static_cast<std::size_t>(k * (n - 1)) + slot][t].option,
+        EXPECT_EQ(ep.opp[static_cast<std::size_t>(k)]
+                      .options[t * static_cast<std::size_t>(n - 1) + slot],
                   tj[t].option);
         ++slot;
       }

@@ -227,6 +227,47 @@ TEST(Losses, SoftmaxStableForHugeLogits) {
   EXPECT_FALSE(std::isnan(lp(0, 2)));
 }
 
+TEST(Losses, FusedSoftmaxLogSoftmaxMatchesSeparateHelpersBitwise) {
+  // Bitwise, not approximate: the fused helper and the cross-entropy's
+  // probability outputs replace the two separate helpers in learner
+  // updates that must stay bitwise unchanged.
+  Rng rng(17);
+  auto same = [](const Matrix& a, const Matrix& b, const char* what, const char* which) {
+    ASSERT_TRUE(a.same_shape(b)) << what << " " << which;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&a.data()[i], &b.data()[i], sizeof(double)), 0)
+          << what << " " << which << " " << i;
+    }
+  };
+  auto check = [&](const Matrix& logits, const char* what) {
+    Matrix probs, logp, probs_ref, logp_ref, grad, ce_probs, ce_logp;
+    softmax_log_softmax_into(logits, probs, logp);
+    softmax_into(logits, probs_ref);
+    log_softmax_into(logits, logp_ref);
+    same(probs, probs_ref, what, "fused probs");
+    same(logp, logp_ref, what, "fused logp");
+    const std::vector<std::size_t> targets(logits.rows(), logits.cols() - 1);
+    softmax_cross_entropy_into(logits, targets, nullptr, grad, &ce_probs, &ce_logp);
+    same(ce_probs, probs_ref, what, "cross-entropy probs");
+    same(ce_logp, logp_ref, what, "cross-entropy logp");
+  };
+  Matrix random(33, 5);
+  for (std::size_t i = 0; i < random.size(); ++i) random.data()[i] = rng.normal(0.0, 3.0);
+  check(random, "random");
+  Matrix tied(4, 6, 0.37);
+  tied(1, 2) = tied(1, 4) = 2.5;  // a tied maximum
+  check(tied, "tied");
+  Matrix huge(8, 4);
+  for (std::size_t i = 0; i < huge.size(); ++i) {
+    huge.data()[i] = rng.uniform(0.0, 1.0) < 0.5 ? 700.0 - rng.uniform(0.0, 5.0)
+                                                 : -700.0 + rng.uniform(0.0, 5.0);
+  }
+  check(huge, "+-700");
+  Matrix column(9, 1);
+  for (std::size_t i = 0; i < column.size(); ++i) column.data()[i] = rng.normal(0.0, 50.0);
+  check(column, "single column");
+}
+
 TEST(Losses, EntropyUniformIsLogN) {
   Matrix logits(1, 4, 0.0);
   auto ent = softmax_entropy(logits);

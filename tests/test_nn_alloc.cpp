@@ -1,16 +1,19 @@
 // Verifies the zero-allocation contract of the NN hot path: after a warmup
 // pass establishes buffer capacity, repeated Mlp::forward/backward calls
-// (and the fused Matrix kernels they are built on) must not touch the heap.
+// (and the fused Matrix kernels they are built on, and the opponent model's
+// grouped update and prediction) must not touch the heap.
 //
 // Global operator new/delete are replaced with counting versions; this file
 // is its own test binary so the replacement cannot leak into other suites.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <new>
 
+#include "hero/opponent_model.h"
 #include "nn/losses.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
@@ -129,6 +132,45 @@ TEST(AllocationCount, SmallerBatchReusesCapacity) {
     for (int i = 0; i < 10; ++i) net.forward(small);
   });
   EXPECT_EQ(n, 0) << n << " heap allocations when shrinking the batch";
+}
+
+TEST(AllocationCount, OpponentModelUpdateAndPredictAreAllocFree) {
+  // dense_stage2's shape: 23 predictors 26 → 32 → 4 in one group, updated
+  // and queried at two row counts, so the shared workspace changes shape
+  // between passes.
+  Rng rng(5);
+  constexpr std::size_t obs_dim = 26;
+  constexpr int opponents = 23;
+  hero::core::OpponentModel model(obs_dim, opponents,
+                                  hero::core::OpponentModelConfig{}, rng);
+  std::array<double, obs_dim> obs{};
+  std::array<int, opponents> options{};
+  for (int i = 0; i < 200; ++i) {
+    for (double& x : obs) x = rng.uniform(-1.0, 1.0);
+    for (std::size_t j = 0; j < options.size(); ++j) {
+      options[j] = static_cast<int>((static_cast<std::size_t>(i) + j) % 4);
+    }
+    model.observe(obs.data(), options.data());
+  }
+  Matrix few = Matrix::xavier(3, obs_dim, rng);
+  Matrix many = Matrix::xavier(64, obs_dim, rng);
+  Matrix block;
+  const auto step = [&] {
+    model.update_all(rng);
+    model.predict_all_rows(few, block);
+    model.predict_all_rows(many, block);
+  };
+  // The per-update loss history is the only growing record; warm up until
+  // it has room for the measured steps (its growth is amortized).
+  for (int i = 0; i < 17; ++i) step();
+  for (const auto& history : model.loss_history()) {
+    ASSERT_GE(history.capacity() - history.size(), 10u);
+  }
+
+  const long n = allocations_during([&] {
+    for (int i = 0; i < 10; ++i) step();
+  });
+  EXPECT_EQ(n, 0) << n << " heap allocations in 10 steady-state iterations";
 }
 
 }  // namespace
